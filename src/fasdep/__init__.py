@@ -1,6 +1,6 @@
 """Dependability and energy-efficiency analysis of fluid antenna links.
 
-Layering, bottom up: specfun (scalar special functions) and quadrature
+Layering, bottom up: specfun (special functions) and quadrature
 (adaptive Gauss-Kronrod) are self-contained numerics; channel holds the
 correlated envelope statistics; levelcross turns them into crossing rates
 and fade durations; dependability and qos map those onto mission
@@ -9,19 +9,17 @@ whole chain into the SNR optimization; mcsim is the Monte Carlo oracle and
 cli the experiment runner.
 """
 
-from .channel import (FasChannel, bivariate_cdf_series, joint_cdf, joint_pdf,
+from .channel import (FasChannel, bivariate_cdf_series, joint_cdf,
                       marginal_cdf, marginal_pdf, max_cdf,
                       spatial_correlation)
-from .dependability import (ChannelState, DependabilityState, FblLink,
-                            channel_state, decision_threshold_rho,
+from .dependability import (FblLink, decision_threshold_rho,
                             fbl_threshold_eta, fbl_threshold_trace,
                             mission_reliability, mttff)
 from .errors import (FasdepError, NoCrossingError, QuadratureError,
                      SeriesTruncationError)
-from .levelcross import (CrossingContext, RatePair, afd, afd_two_port_series,
-                         anfd, failure_repair_rates, lcr,
-                         lcr_fully_correlated, lcr_iid, lcr_two_port_series,
-                         normalized_lcr)
+from .levelcross import (CrossingContext, RatePair, afd, anfd,
+                         failure_repair_rates, lcr, lcr_iid,
+                         lcr_two_port_series, normalized_lcr)
 from .mcsim import (CrossingScan, FadingTrace, SimConfig, empirical_afd,
                     empirical_cdf, empirical_lcr,
                     empirical_mission_reliability, export_trace,
@@ -29,23 +27,20 @@ from .mcsim import (CrossingScan, FadingTrace, SimConfig, empirical_afd,
 from .optimize import (DinkelbachConfig, OptResult, dinkelbach_maximize,
                        golden_section_max)
 from .pipeline import MissionPoint, MissionSystem, optimize_meee
-from .qos import (QosProfile, effective_bandwidth, effective_capacity_onoff,
-                  max_arrival_rate, meee, mission_effective_capacity,
-                  total_power)
+from .qos import (QosProfile, effective_bandwidth, max_arrival_rate,
+                  mission_effective_capacity, total_power)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FasChannel", "spatial_correlation", "joint_pdf", "joint_cdf", "max_cdf",
+    "FasChannel", "spatial_correlation", "joint_cdf", "max_cdf",
     "bivariate_cdf_series", "marginal_pdf", "marginal_cdf",
     "CrossingContext", "RatePair", "lcr", "normalized_lcr", "lcr_iid",
-    "lcr_fully_correlated", "lcr_two_port_series", "afd",
-    "afd_two_port_series", "anfd", "failure_repair_rates",
-    "FblLink", "ChannelState", "DependabilityState", "fbl_threshold_eta",
-    "fbl_threshold_trace", "decision_threshold_rho", "channel_state",
-    "mttff", "mission_reliability",
-    "QosProfile", "effective_capacity_onoff", "effective_bandwidth",
-    "mission_effective_capacity", "max_arrival_rate", "total_power", "meee",
+    "lcr_two_port_series", "afd", "anfd", "failure_repair_rates",
+    "FblLink", "fbl_threshold_eta", "fbl_threshold_trace",
+    "decision_threshold_rho", "mttff", "mission_reliability",
+    "QosProfile", "effective_bandwidth", "mission_effective_capacity",
+    "max_arrival_rate", "total_power",
     "DinkelbachConfig", "OptResult", "golden_section_max",
     "dinkelbach_maximize",
     "MissionPoint", "MissionSystem", "optimize_meee",

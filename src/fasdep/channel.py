@@ -28,7 +28,6 @@ from .quadrature import adaptive_gk
 __all__ = [
     "FasChannel",
     "spatial_correlation",
-    "joint_pdf",
     "joint_cdf",
     "max_cdf",
     "bivariate_cdf_series",
@@ -241,47 +240,6 @@ def _threshold_factors(chan: FasChannel, x_th: float) -> _FactorSet:
 # ---------------------------------------------------------------------------
 # Joint statistics
 # ---------------------------------------------------------------------------
-
-def joint_pdf(chan: FasChannel, x: Sequence[float]) -> float:
-    """Joint envelope density at the point x = (x_1, ..., x_N).
-
-    Reference port marginal times the conditional bivariate kernels,
-    assembled in log space.  Degenerate |mu_k| = 1 is rejected; route those
-    configurations to the identical-port formulas instead.
-    """
-    xs = [float(v) for v in x]
-    if len(xs) != chan.n_ports:
-        raise ValueError(f"expected {chan.n_ports} components, got {len(xs)}")
-    if any(v < 0.0 for v in xs):
-        raise ValueError("envelope components must be nonnegative")
-    if chan.n_ports == 1:
-        return marginal_pdf(chan, xs[0])
-    if chan.degenerate_ports():
-        raise ValueError("joint density singular at |mu_k| = 1 (identical ports)")
-
-    m = chan.nakagami_m
-    s2 = chan.power
-    if m > 0.5 and any(v == 0.0 for v in xs):
-        return 0.0
-
-    x1 = xs[0]
-    if x1 == 0.0:  # only reachable at m = 1/2
-        total = math.log(marginal_pdf(chan, 0.0))
-    else:
-        total = _log_marginal_pdf(m, s2, x1)
-    for mu_k, xk in zip(chan.mu, xs[1:]):
-        om = 1.0 - mu_k * mu_k
-        w = 2.0 * m * abs(mu_k) * x1 * xk / (s2 * om)
-        total += (math.log(2.0) + m * math.log(m)
-                  - m * math.log(s2 * om)
-                  - m * (xk * xk + mu_k * mu_k * x1 * x1) / (s2 * om)
-                  + specfun._log_bessel_i_scaled(m - 1.0, w))
-        if xk > 0.0:
-            total += (2.0 * m - 1.0) * math.log(xk)
-    if total > 709.0:
-        return math.inf
-    return math.exp(total)
-
 
 def _cdf_quad(chan: FasChannel, x1_hi: float, fset: "_FactorSet | None",
               factors) -> float:

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -365,16 +366,18 @@ def _run_crossing(spec: ExperimentSpec) -> ResultSet:
         needs_link = p.threshold is None
         system = _fresh_system(spec, p, phi, cache) if needs_link else None
         th = _resolve_threshold(spec, p, phi, system)
-        ctx = CrossingContext(_channel_of(p), p.doppler, th)
+        chan = _channel_of(p)
+        rate = lcr(CrossingContext(chan, p.doppler, th))
         if spec.command == "lcr":
-            rate = lcr(ctx)
             rows.append([v if v is not None else phi, th, rate,
                          rate / p.doppler])
         else:
-            rate = lcr(ctx)
-            fade = afd(ctx)
-            rows.append([v if v is not None else phi, th, fade, anfd(ctx),
-                         max_cdf(ctx.channel, th), rate])
+            # levelcross.afd and anfd, sharing one crossing rate and CDF
+            cdf = max_cdf(chan, th)
+            fade = cdf / rate if th > 0.0 else 0.0
+            non_fade = 1.0 / rate - fade if rate > 0.0 else math.inf
+            rows.append([v if v is not None else phi, th, fade, non_fade,
+                         cdf, rate])
     columns = ([label, "threshold", "lcr", "nlcr"] if spec.command == "lcr"
                else [label, "threshold", "afd", "anfd", "cdf", "lcr"])
     if label == "threshold":
@@ -391,8 +394,12 @@ def _run_mission(spec: ExperimentSpec) -> ResultSet:
     for v, p, phi in _sweep_params(spec):
         system = _fresh_system(spec, p, phi, cache)
         profile = _profile_of(p)
-        point = system.evaluate(phi, profile, p.delta_t,
-                                rmax_mode=spec.rmax_mode)
+        with warnings.catch_warnings():
+            if spec.command != "meee":
+                # these commands print no power, so its regime warning is noise
+                warnings.filterwarnings("ignore", "idle power", RuntimeWarning)
+            point = system.evaluate(phi, profile, p.delta_t,
+                                    rmax_mode=spec.rmax_mode)
         key = v if v is not None else phi
         if spec.command == "reliability":
             rows.append([key, point.rho, point.failure_rate,
@@ -500,8 +507,8 @@ def _figure_fig2(spec: ExperimentSpec) -> ResultSet:
         chan = FasChannel(n_ports=n, aperture=0.3, nakagami_m=2.0,
                           power=p.power)
         system = MissionSystem(chan, p.doppler, _link_of(p, 1.0))
-        vals = [system.meee(10.0 ** (db / 10.0), profile, p.delta_t,
-                            rmax_mode=spec.rmax_mode) for db in grid]
+        vals = [system.evaluate(10.0 ** (db / 10.0), profile, p.delta_t,
+                                rmax_mode=spec.rmax_mode).meee for db in grid]
         series.append(vals)
         columns.append(f"meee_n{n}")
     rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]

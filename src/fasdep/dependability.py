@@ -12,28 +12,25 @@ while the selected envelope stays at or above rho.
 
 Failures form an alternating renewal process with rates taken from the
 level-crossing statistics, giving MTTFF = 1/Upsilon and mission
-reliability exp(-DeltaT / MTTFF).
+reliability exp(-DeltaT / MTTFF).  An infinite failure rate (a link that
+is down almost surely) gives MTTFF = 0 and R_M = 0 for any mission of
+positive length.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import List
 
 from . import specfun
 from .errors import SeriesTruncationError
-from .levelcross import RatePair
 
 __all__ = [
     "FblLink",
-    "ChannelState",
-    "DependabilityState",
     "fbl_threshold_eta",
     "fbl_threshold_trace",
     "decision_threshold_rho",
-    "channel_state",
     "mttff",
     "mission_reliability",
 ]
@@ -68,11 +65,6 @@ class FblLink:
             raise ValueError(f"avg_snr must be positive, got {self.avg_snr}")
         if not self.eta_tol > 0.0:
             raise ValueError(f"eta_tol must be positive, got {self.eta_tol}")
-
-
-class ChannelState(enum.Enum):
-    OPERATIONAL = "operational"
-    FAILED = "failed"
 
 
 def fbl_threshold_trace(link: FblLink) -> List[float]:
@@ -112,17 +104,11 @@ def decision_threshold_rho(eta: float, avg_snr: float) -> float:
     return math.sqrt(eta / avg_snr)
 
 
-def channel_state(envelope: float, rho: float) -> ChannelState:
-    """Instantaneous link state: operational iff envelope >= rho."""
-    if not envelope >= 0.0:
-        raise ValueError(f"envelope must be nonnegative, got {envelope}")
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    return ChannelState.OPERATIONAL if envelope >= rho else ChannelState.FAILED
-
-
 def mttff(failure_rate: float) -> float:
-    """Mean time to first failure 1/Upsilon; a zero rate never fails."""
+    """Mean time to first failure 1/Upsilon; a zero rate never fails.
+
+    An infinite rate gives 0: the link is already down.
+    """
     if failure_rate < 0.0:
         raise ValueError(f"failure rate must be nonnegative, got {failure_rate}")
     if failure_rate == 0.0:
@@ -135,27 +121,10 @@ def mission_reliability(mission_duration: float, mean_ttff: float) -> float:
     if not mission_duration >= 0.0:
         raise ValueError(
             f"mission duration must be nonnegative, got {mission_duration}")
-    if not mean_ttff > 0.0:
-        raise ValueError(f"MTTFF must be positive, got {mean_ttff}")
-    if math.isinf(mean_ttff):
+    if not mean_ttff >= 0.0:
+        raise ValueError(f"MTTFF must be nonnegative, got {mean_ttff}")
+    if math.isinf(mean_ttff) or mission_duration == 0.0:
         return 1.0
+    if mean_ttff == 0.0:
+        return 0.0
     return math.exp(-mission_duration / mean_ttff)
-
-
-@dataclass(frozen=True)
-class DependabilityState:
-    """Snapshot of the renewal description for one operating point."""
-
-    rates: RatePair
-    mean_ttff: float
-    mission_duration: float
-
-    @classmethod
-    def from_rates(cls, rates: RatePair, mission_duration: float
-                   ) -> "DependabilityState":
-        return cls(rates=rates, mean_ttff=mttff(rates.failure_rate),
-                   mission_duration=mission_duration)
-
-    @property
-    def reliability(self) -> float:
-        return mission_reliability(self.mission_duration, self.mean_ttff)

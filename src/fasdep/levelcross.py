@@ -7,9 +7,10 @@ the threshold against the conditional CDFs of the remaining ports.  Every
 term carries the common scale sqrt(2 pi / m) * sigma * f_D from the
 envelope-derivative variance.
 
-Closed forms are provided for the degenerate geometries (single port, all
-ports identical, independent ports) and for the two-port gamma series,
-which doubles as a cross-check of the quadrature path.
+Closed forms are provided for the single port, for independent ports and
+for the two-port gamma series, which doubles as a cross-check of the
+quadrature path.  Identical ports (|mu_k| = 1) cross like one port; the
+general routes reject them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import FasChannel, _threshold_factors, marginal_pdf, max_cdf
+from .channel import (FasChannel, _logaddexp, _threshold_factors,
+                      marginal_pdf, max_cdf)
 from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_gk
 
@@ -30,10 +32,8 @@ __all__ = [
     "lcr",
     "normalized_lcr",
     "lcr_iid",
-    "lcr_fully_correlated",
     "lcr_two_port_series",
     "afd",
-    "afd_two_port_series",
     "anfd",
     "failure_repair_rates",
 ]
@@ -71,7 +71,7 @@ class RatePair:
 
 
 def _lcr_single(m: float, sigma2: float, doppler: float, x: float) -> float:
-    # one-port Nakagami crossing rate; also the all-ports-identical law
+    # one-port Nakagami crossing rate
     if x == 0.0:
         return math.sqrt(2.0) * doppler if m == 0.5 else 0.0
     lg = (0.5 * math.log(2.0 * math.pi) + (m - 0.5) * math.log(m)
@@ -90,7 +90,8 @@ def lcr(ctx: CrossingContext) -> float:
         return _lcr_single(m, s2, ctx.doppler_hz, x)
     if chan.degenerate_ports():
         raise ValueError(
-            "|mu_k| = 1 makes the ports identical; use lcr_fully_correlated")
+            "|mu_k| = 1 makes the ports identical; they cross like a single "
+            "port, so evaluate the n_ports=1 channel instead")
     if x == 0.0:
         return 0.0
 
@@ -165,12 +166,6 @@ def lcr_iid(ctx: CrossingContext) -> float:
     return ctx.doppler_hz * math.exp(lg)
 
 
-def lcr_fully_correlated(ctx: CrossingContext) -> float:
-    """Crossing rate when every port carries the same envelope (|mu_k| = 1)."""
-    chan = ctx.channel
-    return _lcr_single(chan.nakagami_m, chan.power, ctx.doppler_hz, ctx.threshold)
-
-
 def lcr_two_port_series(ctx: CrossingContext,
                         rel_tol: float = 1e-14, max_terms: int = 500) -> float:
     """Two-port crossing rate by its single-sum gamma series.
@@ -185,7 +180,8 @@ def lcr_two_port_series(ctx: CrossingContext,
         raise ValueError(f"two-port channel required, got N={chan.n_ports}")
     mu = chan.mu[0]
     if abs(mu) >= 1.0:
-        raise ValueError("series requires |mu_2| < 1; use lcr_fully_correlated")
+        raise ValueError("series requires |mu_2| < 1; identical ports cross "
+                         "like a single port (n_ports=1)")
     x = ctx.threshold
     if x == 0.0:
         return 0.0
@@ -231,13 +227,6 @@ def afd(ctx: CrossingContext) -> float:
     return max_cdf(ctx.channel, ctx.threshold) / lcr(ctx)
 
 
-def afd_two_port_series(ctx: CrossingContext) -> float:
-    """Two-port AFD with the series crossing rate in the denominator."""
-    if ctx.threshold == 0.0:
-        return 0.0
-    return max_cdf(ctx.channel, ctx.threshold) / lcr_two_port_series(ctx)
-
-
 def anfd(ctx: CrossingContext) -> float:
     """Average non-fade duration 1/LCR - AFD, seconds."""
     rate = lcr(ctx)
@@ -250,7 +239,10 @@ def failure_repair_rates(ctx: CrossingContext) -> RatePair:
     """Outage birth/death rates: Upsilon = 1/ANFD and beta = 1/AFD.
 
     At x_th = 0 the envelope never fades, so Upsilon = 0 and beta is
-    reported as inf.
+    reported as inf.  Far from the envelope scale the crossing rate
+    underflows to 0: above the median of the selected envelope the link is
+    then down almost surely and never repairs, reported as Upsilon = inf
+    and beta = 0; below it the link never fails, as at x_th = 0.
 
     Deep in the upper tail the CDF quadrature cannot resolve 1 - CDF
     (absolute tolerance ~1e-10), so below a trust floor the complement is
@@ -259,11 +251,13 @@ def failure_repair_rates(ctx: CrossingContext) -> RatePair:
     Upsilon is overstated by at most the port count, only in regimes where
     the mission is lost regardless.
     """
-    rate = lcr(ctx)
-    if ctx.threshold == 0.0 or rate == 0.0:
+    if ctx.threshold == 0.0:
         return RatePair(0.0, math.inf)
+    rate = lcr(ctx)
     chan = ctx.channel
     cdf = max_cdf(chan, ctx.threshold)
+    if rate == 0.0:
+        return RatePair(math.inf, 0.0) if cdf > 0.5 else RatePair(0.0, math.inf)
     survival = specfun.reg_upper_inc_gamma(
         chan.nakagami_m,
         chan.nakagami_m * ctx.threshold ** 2 / chan.power)
@@ -274,12 +268,3 @@ def failure_repair_rates(ctx: CrossingContext) -> RatePair:
     return RatePair(
         failure_rate=1.0 / up if up > 0.0 else math.inf,
         repair_rate=1.0 / down if down > 0.0 else math.inf)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))

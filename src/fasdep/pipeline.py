@@ -4,19 +4,22 @@ One MissionSystem instance pins the channel geometry, the Doppler rate and
 the short-packet link budget.  Per operating SNR Phi the chain runs
 
     eta (fixed point) -> rho = sqrt(eta/Phi) -> crossing rates at rho
-    -> Upsilon -> MTTFF -> R_M(DeltaT) -> mEC -> arrival cap -> power,
+    -> Upsilon -> MTTFF -> R_M(DeltaT) -> mEC -> arrival cap -> power
+    -> mEEE = mEC / power,
 
 and the expensive middle section (the crossing-rate quadratures) is
 memoized per Phi, so sweeps over mission duration or QoS exponent reuse
-the channel statistics.  The steps stay individually importable from
-their home modules; this class only wires and caches them.
+the channel statistics.  The chain is written once: `reliability` runs it
+up to R_M, `evaluate` carries on from there, and optimize_meee maximizes
+the ratio of evaluate's fields.  The steps stay individually importable
+from their home modules; this class only wires and caches them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from . import dependability, qos
 from .channel import FasChannel
@@ -84,23 +87,16 @@ class MissionSystem:
             self._rates[key] = failure_repair_rates(ctx)
         return self._rates[key]
 
-    def upsilon(self, avg_snr: float) -> float:
-        return self.rates(avg_snr).failure_rate
-
-    def mean_ttff(self, avg_snr: float) -> float:
-        return dependability.mttff(self.upsilon(avg_snr))
-
     def reliability(self, avg_snr: float, mission_duration: float) -> float:
-        return dependability.mission_reliability(
-            mission_duration, self.mean_ttff(avg_snr))
+        ttff = dependability.mttff(self.rates(avg_snr).failure_rate)
+        return dependability.mission_reliability(mission_duration, ttff)
 
     def evaluate(self, avg_snr: float, profile: QosProfile,
                  mission_duration: float,
                  rmax_mode: str = "derived") -> MissionPoint:
         """One operating point through the whole chain."""
         rates = self.rates(avg_snr)
-        ttff = dependability.mttff(rates.failure_rate)
-        r_m = dependability.mission_reliability(mission_duration, ttff)
+        r_m = self.reliability(avg_snr, mission_duration)
         theta = profile.qos_exponent
         mec = qos.mission_effective_capacity(
             theta, self.link.blocklength, self.link.rate, r_m)
@@ -110,36 +106,26 @@ class MissionSystem:
         return MissionPoint(
             avg_snr=avg_snr, eta=self.eta, rho=self.threshold(avg_snr),
             failure_rate=rates.failure_rate, repair_rate=rates.repair_rate,
-            mean_ttff=ttff, reliability=r_m, mec=mec, max_arrival=rmax,
-            power=power, meee=mec / power)
-
-    def meee(self, avg_snr: float, profile: QosProfile,
-             mission_duration: float, rmax_mode: str = "derived") -> float:
-        return self.evaluate(avg_snr, profile, mission_duration,
-                             rmax_mode).meee
+            mean_ttff=dependability.mttff(rates.failure_rate),
+            reliability=r_m, mec=mec, max_arrival=rmax, power=power,
+            meee=mec / power)
 
 
 def optimize_meee(system: MissionSystem, profile: QosProfile,
                   mission_duration: float, min_reliability: float,
                   cfg: Optional[DinkelbachConfig] = None,
                   rmax_mode: str = "derived") -> OptResult:
-    """Best operating SNR for the efficiency figure under R_M >= omega."""
-    theta = profile.qos_exponent
-    link = system.link
+    """Best operating SNR for the efficiency figure under R_M >= omega.
 
-    def numerator(phi: float) -> float:
-        r_m = system.reliability(phi, mission_duration)
-        return qos.mission_effective_capacity(
-            theta, link.blocklength, link.rate, r_m)
+    The ratio is evaluate's mEC over its power, so the optimizer sees the
+    same numbers a sweep prints.  The constraint needs only R_M, so the
+    feasibility probes never reach the power model.
+    """
 
-    def denominator(phi: float) -> float:
-        rmax = qos.max_arrival_rate(theta, profile.burstiness,
-                                    numerator(phi), mode=rmax_mode)
-        return qos.total_power(phi, profile, rmax, link.rate)
+    def point(phi: float) -> MissionPoint:
+        return system.evaluate(phi, profile, mission_duration, rmax_mode)
 
-    def reliability(phi: float) -> float:
-        return system.reliability(phi, mission_duration)
-
-    return dinkelbach_maximize(numerator, denominator, cfg=cfg,
-                               constraint=reliability,
-                               level=min_reliability)
+    return dinkelbach_maximize(
+        lambda phi: point(phi).mec, lambda phi: point(phi).power, cfg=cfg,
+        constraint=lambda phi: system.reliability(phi, mission_duration),
+        level=min_reliability)

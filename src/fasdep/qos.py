@@ -1,16 +1,17 @@
-"""Statistical QoS layer: effective capacity, bandwidth, and energy efficiency.
+"""Statistical QoS layer: mission effective capacity, bandwidth and power.
 
 Everything here views the link through a QoS exponent theta: larger theta
-demands faster decay of the queue-length tail.  The mission-aware variants
-treat a whole mission of n-use slots as one Bernoulli service unit that
-delivers nR bits with probability R_M, which yields
+demands faster decay of the queue-length tail.  A whole mission of n-use
+slots is one Bernoulli service unit that delivers nR bits with
+probability R_M, which yields
 
     mEC = -ln(1 - R_M (1 - e^(-theta n R))) / (n theta).
 
 The source side is an ON-OFF fluid with burstiness S whose effective
 bandwidth caps the admissible arrival rate; equating it to the mission
-effective capacity gives the maximum sustainable arrival rate, and the
-ratio of mEC to total drained power is the efficiency figure the
+effective capacity gives the maximum sustainable arrival rate, which sets
+the drained power.  These are the steps; pipeline.MissionSystem.evaluate
+chains them and forms the efficiency figure mEEE = mEC / power that the
 optimizer maximizes.
 """
 
@@ -19,16 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
     "QosProfile",
-    "effective_capacity_onoff",
     "effective_bandwidth",
     "mission_effective_capacity",
     "max_arrival_rate",
     "total_power",
-    "meee",
 ]
 
 
@@ -57,30 +55,6 @@ class QosProfile:
                 f"drain_eff must be positive, got {self.drain_eff}")
         if self.circuit_power < 0.0 or self.idle_power < 0.0:
             raise ValueError("power terms must be nonnegative")
-
-
-def effective_capacity_onoff(theta: float, rate: float,
-                             p_stay_off: float, p_stay_on: float) -> float:
-    """Effective capacity of a two-state ON-OFF service at fixed rate.
-
-    The service Markov chain keeps state OFF with probability p_stay_off
-    and ON (serving `rate` bits/use) with p_stay_on.  The capacity is
-    -ln(spectral radius)/theta of the transition matrix with the ON column
-    damped by e^(-theta rate).
-    """
-    if not theta > 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
-    for name, p in (("p_stay_off", p_stay_off), ("p_stay_on", p_stay_on)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    damp = math.exp(-theta * rate)
-    half_tr = 0.5 * (p_stay_off + p_stay_on * damp)
-    disc = ((p_stay_off - p_stay_on * damp) ** 2
-            + 4.0 * damp * (1.0 - p_stay_off) * (1.0 - p_stay_on))
-    radius = half_tr + 0.5 * math.sqrt(max(disc, 0.0))
-    return -math.log(radius) / theta
 
 
 def effective_bandwidth(theta: float, arrival_rate: float,
@@ -171,20 +145,3 @@ def total_power(avg_snr: float, profile: QosProfile, max_rate: float,
     off_frac = (1.0 - profile.burstiness) * (1.0 - min(max_rate, rate) / rate)
     return drain - (drain - profile.idle_power) * off_frac + profile.circuit_power
 
-
-def meee(avg_snr: float, link, profile: QosProfile, mission_duration: float,
-         reliability: Callable[[float, float], float],
-         rmax_mode: str = "derived") -> float:
-    """Mission effective energy efficiency at one operating SNR.
-
-    `link` supplies the blocklength and coding rate; `reliability` maps
-    (operating SNR, mission duration) to the mission reliability R_M.
-    The rest of the chain is deterministic: mEC, then the admissible
-    arrival rate, then the power model.
-    """
-    theta = profile.qos_exponent
-    r_m = reliability(avg_snr, mission_duration)
-    mec = mission_effective_capacity(theta, link.blocklength, link.rate, r_m)
-    rmax = max_arrival_rate(theta, profile.burstiness, mec, mode=rmax_mode)
-    power = total_power(avg_snr, profile, rmax, link.rate)
-    return mec / power

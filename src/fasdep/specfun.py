@@ -5,10 +5,12 @@ here is written from scratch and pinned against high-precision oracles in
 the test suite.  The inventory is exactly what the model needs:
 
 * ``bessel_j0``         port correlation profile
-* ``bessel_i``          conditional envelope densities
-* incomplete gamma pair (regularized and plain)
-* ``marcum_q``          conditional envelope distribution tails
+* ``reg_lower_inc_gamma``/``reg_upper_inc_gamma``  Nakagami CDF and tail
 * ``qfunc``/``qfunc_inv``  finite-blocklength rate penalty
+
+and two private array kernels the quadrature integrands call:
+``_log_bessel_i_scaled_vec`` (conditional envelope densities) and
+``_one_minus_marcum_q_fixed_b`` (conditional envelope CDFs, 1 - Marcum Q).
 
 Math references in comments use standard handbook numbering (DLMF ch. 10,
 Numerical Recipes ch. 6).
@@ -27,13 +29,8 @@ __all__ = [
     "EvalTolerance",
     "DEFAULT_TOL",
     "bessel_j0",
-    "bessel_i",
-    "log_bessel_i",
-    "lower_inc_gamma",
-    "upper_inc_gamma",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
-    "marcum_q",
     "qfunc",
     "qfunc_inv",
 ]
@@ -122,94 +119,21 @@ def bessel_j0(x: float) -> float:
 # Modified Bessel I
 # ---------------------------------------------------------------------------
 
-def _i_series_cutoff(order: float) -> float:
-    return 30.0 * (1.0 + order)
-
-
-def _log_bessel_i_scaled(order: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """log of I_order(x) * (x/2)^(-order), finite for all x >= 0, order > -1.
-
-    The scaled function equals sum_j (x^2/4)^j / (j! Gamma(order+j+1)); the
-    removable prefactor is exactly what degenerates when the density
-    formulas divide I_(m-1) by a vanishing correlation power, so callers
-    work with this form and restore logs themselves.  Even in x.
-    """
-    if order <= -1.0:
-        raise ValueError(f"order must exceed -1, got {order}")
-    x = abs(float(x))
-    if x < _i_series_cutoff(order):
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        offset = 0.0
-        for j in range(1, tol.max_terms + 1):
-            term *= q / (j * (order + j))
-            total += term
-            if term < tol.rel_tol * total:
-                return math.log(total) + offset - math.lgamma(order + 1.0)
-            if total > 1e280:  # renormalize; relevant only for order >~ 20
-                offset += math.log(total)
-                term /= total
-                total = 1.0
-        raise SeriesTruncationError(
-            f"I_{order}({x}) series needed more than {tol.max_terms} terms")
-    return (x - 0.5 * math.log(2.0 * math.pi * x) - order * math.log(0.5 * x)
-            + math.log(_bessel_i_asym_factor(order, x, tol.rel_tol)))
-
-
-def _bessel_i_asym_factor(order: float, x: float, rel_tol: float) -> float:
-    """Correction series A in I_nu(x) ~ e^x / sqrt(2 pi x) * A (DLMF 10.40.1)."""
-    fournu2 = 4.0 * order * order
-    t = 1.0
-    total = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        t *= ((2 * k - 1) ** 2 - fournu2) / (8.0 * k * x)
-        mag = abs(t)
-        if mag >= prev:
-            break
-        total += t
-        prev = mag
-        if mag < rel_tol:
-            break
-    return total
-
-
-def log_bessel_i(order: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """Natural log of the modified Bessel function I_order(x), order > -1."""
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        if order == 0.0:
-            return 0.0
-        return -math.inf if order > 0.0 else math.inf
-    return _log_bessel_i_scaled(order, x, tol) + order * math.log(0.5 * x)
-
-
-def bessel_i(order: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """Modified Bessel function of the first kind, order >= 0, x >= 0.
-
-    Overflows to inf for x beyond ~709 plus log corrections; use
-    log_bessel_i when magnitudes matter more than the raw value.
-    """
-    if order < 0.0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    lv = log_bessel_i(order, x, tol)
-    if lv > 709.0:
-        return math.inf
-    return math.exp(lv)
-
-
 def _log_bessel_i_scaled_vec(order: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _log_bessel_i_scaled, fixed ~1e-15 target.
+    """log of I_order(x) * (x/2)^(-order) elementwise, order > -1, ~1e-15.
 
-    Accepts any sign of x (the scaled function is even), which is how the
-    density formulas absorb negative correlation values.
+    The scaled function equals sum_j (x^2/4)^j / (j! Gamma(order+j+1)) and
+    stays finite at x = 0; the removable prefactor is exactly what
+    degenerates when the density formulas divide I_(m-1) by a vanishing
+    correlation power, so callers restore log I = result + order log(x/2)
+    themselves.  Power series below 30 (1 + order), the DLMF 10.40.1
+    asymptotic expansion above.  Accepts any sign of x (the scaled function
+    is even), which is how the density formulas absorb negative
+    correlation values.
     """
     x = np.abs(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    cut = _i_series_cutoff(order)
-    small = x < cut
+    small = x < 30.0 * (1.0 + order)
     if small.any():
         xs = x[small]
         q = 0.25 * xs * xs
@@ -312,82 +236,9 @@ def reg_upper_inc_gamma(s: float, x: float, tol: EvalTolerance = DEFAULT_TOL) ->
     return _gamma_q_cf(s, x, tol)
 
 
-def lower_inc_gamma(s: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """Lower incomplete gamma(s, x); overflows with Gamma(s) for s >~ 171."""
-    return reg_lower_inc_gamma(s, x, tol) * math.gamma(s)
-
-
-def upper_inc_gamma(s: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """Upper incomplete Gamma(s, x); overflows with Gamma(s) for s >~ 171."""
-    return reg_upper_inc_gamma(s, x, tol) * math.gamma(s)
-
-
 # ---------------------------------------------------------------------------
 # Marcum Q
 # ---------------------------------------------------------------------------
-
-def marcum_q(order: float, a: float, b: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
-    """Generalized Marcum Q_order(a, b).
-
-    Canonical Poisson mixture Q = sum_k pois(k; a^2/2) Q(order + k, b^2/2),
-    summed two-sided from the mixture mode so the budget is spent where the
-    mass is.  With the default 500-term budget this covers a^2/2 up to a few
-    hundred; beyond that a SeriesTruncationError is raised rather than a
-    silently truncated value.
-
-    Args:
-        order: positive real order (fading figure plus integer shifts).
-        a, b: nonnegative noncentrality and threshold arguments.
-        tol: term budget and target accuracy.
-
-    Returns:
-        Q_order(a, b) clipped into [0, 1].
-    """
-    if order <= 0.0:
-        raise ValueError(f"order must be positive, got {order}")
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"arguments must be nonnegative, got a={a}, b={b}")
-    if b == 0.0:
-        return 1.0
-    y = 0.5 * a * a
-    z = 0.5 * b * b
-    if y == 0.0:
-        return reg_upper_inc_gamma(order, z, tol)
-
-    k0 = int(y)  # Poisson(y) mode
-    w_up = math.exp(-y + k0 * math.log(y) - math.lgamma(k0 + 1.0))
-    w_dn = w_up
-    g_up = reg_upper_inc_gamma(order + k0, z, tol)
-    g_dn = g_up
-    # t_up holds T_k = z^(order+k) e^-z / Gamma(order+k+1) at k = k0,
-    # the increment in Q(order+k, z) -> Q(order+k+1, z)
-    t_up = math.exp((order + k0) * math.log(z) - z - math.lgamma(order + k0 + 1.0))
-    t_dn = t_up
-    total = w_up * g_up
-    wsum = w_up
-    ku = k0
-    kd = k0
-    for _ in range(tol.max_terms):
-        ku += 1
-        g_up += t_up
-        t_up *= z / (order + ku)
-        w_up *= y / ku
-        total += w_up * min(g_up, 1.0)
-        wsum += w_up
-        if kd > 0:
-            t_dn *= (order + kd) / z
-            g_dn = max(g_dn - t_dn, 0.0)
-            w_dn *= kd / y
-            kd -= 1
-            total += w_dn * g_dn
-            wsum += w_dn
-        if 1.0 - wsum <= tol.rel_tol:
-            return min(max(total, 0.0), 1.0)
-    raise SeriesTruncationError(
-        f"marcum_q(order={order}, a={a}, b={b}) left Poisson mass "
-        f"{1.0 - wsum:.3e} uncovered after {tol.max_terms} two-sided terms",
-        partial=total)
-
 
 def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float) -> np.ndarray:
     """Vectorized 1 - Q_order(sqrt(2 y), sqrt(2 z)) for array y, scalar z.
@@ -517,6 +368,5 @@ def qfunc_inv(p: float) -> float:
 if __name__ == "__main__":  # smoke check against a couple of pinned values
     assert abs(bessel_j0(1.0) - 0.7651976865579666) < 1e-13
     assert abs(bessel_j0(2.404825557695773)) < 1e-12
-    assert abs(marcum_q(1.0, 0.0, 1.0) - math.exp(-0.5)) < 1e-13
     assert qfunc_inv(0.5) == 0.0
     print("specfun self-checks passed")

@@ -103,31 +103,6 @@ def qfunc_inv_bisect(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate Rayleigh density from the Gaussian quadruple
-# ---------------------------------------------------------------------------
-
-def bivariate_rayleigh_pdf(r1: float, r2: float, mu: float) -> float:
-    """Joint envelope density built from first principles.
-
-    The two unit-power Rayleigh envelopes come from Gaussian pairs with
-    per-component variance 1/2 and cross-correlation mu/2 between like
-    components.  The envelope density is r1 r2 times the phase integral of
-    the 4-D Gaussian density; the inner phase integrates out analytically
-    to 2 pi, the outer one is done numerically.
-    """
-    c = 1.0 - mu * mu
-
-    def gauss4(psi):
-        quad_form = (r1 * r1 + r2 * r2
-                     - 2.0 * mu * r1 * r2 * math.cos(psi)) / c
-        return math.exp(-quad_form) / (math.pi ** 2 * c)
-
-    val, _ = integrate.quad(gauss4, 0.0, 2.0 * math.pi,
-                            epsabs=1e-14, epsrel=1e-13)
-    return r1 * r2 * 2.0 * math.pi * val
-
-
-# ---------------------------------------------------------------------------
 # Rice-formula crossing rate by importance sampling
 # ---------------------------------------------------------------------------
 
@@ -234,16 +209,6 @@ def fbl_eta_mp(rate: float, blocklength: int, error_target: float,
 # QoS layer oracles
 # ---------------------------------------------------------------------------
 
-def ec_onoff_eig(theta: float, rate: float, p_stay_off: float,
-                 p_stay_on: float) -> float:
-    """ON-OFF effective capacity via an explicit 2x2 eigenvalue solve."""
-    damp = math.exp(-theta * rate)
-    weighted = np.array([[p_stay_off, (1.0 - p_stay_off) * damp],
-                         [1.0 - p_stay_on, p_stay_on * damp]])
-    radius = max(abs(v) for v in np.linalg.eigvals(weighted))
-    return -math.log(radius) / theta
-
-
 def mec_mp(theta: float, blocklength: int, rate: float,
            reliability: float, dps: int = 50) -> mpmath.mpf:
     """Mission effective capacity at extended precision."""
@@ -293,11 +258,9 @@ if __name__ == "__main__":
     print("marcum Q_2(1.5, 0.8) ncx2  ", repr(marcum_q_ncx2(2.0, 1.5, 0.8)))
     print("marcum Q_1(0, 2) exact     ", repr(math.exp(-2.0)))
     print("qfunc_inv(1e-2)            ", repr(qfunc_inv_bisect(1e-2)))
-    print("biv rayleigh (0.8,1.1,0.5) ", repr(bivariate_rayleigh_pdf(0.8, 1.1, 0.5)))
     eta = fbl_eta_mp(0.1, 1000, 1e-2, 1e-4)
     print("fbl eta (R=0.1 point)      ", mpmath.nstr(eta, 17))
     print("rho = sqrt(eta/10)         ", mpmath.nstr(mpmath.sqrt(eta / 10), 17))
-    print("ec eigen (0.3,0.8)         ", repr(ec_onoff_eig(0.01, 1.0, 0.3, 0.8)))
     print("mec (0.9999 point)         ", mpmath.nstr(mec_mp(1e-3, 1000, 0.1, 0.9999), 17))
     print("rmax (S=0.5, mec=0.08)     ", mpmath.nstr(rmax_bisect_mp(1e-3, 0.5, 0.08), 17))
     print("total power (phi=5 point)  ", repr(total_power_direct(5.0, 0.2, 0.03, 0.2, 0.5, 0.4)))

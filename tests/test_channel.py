@@ -10,7 +10,6 @@ from fasdep.channel import (
     FasChannel,
     bivariate_cdf_series,
     joint_cdf,
-    joint_pdf,
     marginal_cdf,
     marginal_pdf,
     max_cdf,
@@ -21,7 +20,6 @@ import oracles
 
 # Pinned by tests/oracles.py.
 MU2_TWO_PORT_W03 = 0.2905642140891242  # J0(0.6 pi): port pair at W = 0.3
-BIV_RAYLEIGH_PDF_POINT = 0.5476567591079227  # (r1, r2, mu) = (0.8, 1.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -127,59 +125,6 @@ def test_marginal_mean_square_is_power():
     f = lambda xs: np.array([v * v * marginal_pdf(chan, float(v)) for v in xs])
     got = adaptive_gk(f, 0.0, 12.0, abs_tol=1e-12).value
     assert got == pytest.approx(1.3, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Joint density
-# ---------------------------------------------------------------------------
-
-def test_joint_pdf_two_port_rayleigh_against_quadrature():
-    """N = 2, m = 1 against a numerically integrated bivariate Rayleigh."""
-    chan = FasChannel.with_correlation(2, (0.5,), nakagami_m=1.0)
-    assert joint_pdf(chan, (0.8, 1.1)) == pytest.approx(
-        BIV_RAYLEIGH_PDF_POINT, rel=1e-10)
-
-
-def test_joint_pdf_single_port_is_marginal():
-    chan = FasChannel(n_ports=1, aperture=0.0, nakagami_m=2.0)
-    for x in (0.4, 1.0, 1.9):
-        assert joint_pdf(chan, (x,)) == pytest.approx(
-            marginal_pdf(chan, x), rel=1e-12)
-
-
-def test_joint_pdf_uncorrelated_factorizes():
-    chan = FasChannel.with_correlation(3, (0.0, 0.0), nakagami_m=1.5)
-    xs = (0.5, 1.1, 0.8)
-    want = math.prod(marginal_pdf(chan, v) for v in xs)
-    assert joint_pdf(chan, xs) == pytest.approx(want, rel=1e-9)
-
-
-@pytest.mark.parametrize("n_ports,nodes", [(2, 120), (3, 48)])
-def test_joint_pdf_has_unit_mass(n_ports, nodes):
-    """Gauss-Legendre cubature of the joint density over [0, 20]^N."""
-    chan = FasChannel(n_ports=n_ports, aperture=0.25, nakagami_m=1.0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = 10.0 * (x + 1.0)
-    w = 10.0 * w
-    if n_ports == 2:
-        grid = [(a, b) for a in x for b in x]
-        wts = np.array([wa * wb for wa in w for wb in w])
-    else:
-        grid = [(a, b, c) for a in x for b in x for c in x]
-        wts = np.array([wa * wb * wc for wa in w for wb in w for wc in w])
-    vals = np.array([joint_pdf(chan, g) for g in grid])
-    assert float(wts @ vals) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_joint_pdf_rejects_bad_input():
-    chan = FasChannel(n_ports=2, aperture=0.3, nakagami_m=1.0)
-    with pytest.raises(ValueError):
-        joint_pdf(chan, (0.5,))
-    with pytest.raises(ValueError):
-        joint_pdf(chan, (0.5, -0.1))
-    with pytest.raises(ValueError):
-        joint_pdf(FasChannel(n_ports=2, aperture=0.0, nakagami_m=1.0),
-                  (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

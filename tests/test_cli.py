@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,38 @@ def test_rmax_mode_paper(capsys):
     header, columns, rows = _parse(out)
     assert header["rmax_mode"] == "paper"
     assert float(rows[0][columns.index("rmax")]) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Mission commands
+# ---------------------------------------------------------------------------
+
+def test_reliability_far_below_envelope_scale(capsys):
+    """At -45 and -40 dB the crossing rate underflows to 0 (threshold 58
+    and 33 envelope units); the link is down, not fault-free."""
+    code, out, _ = _run(capsys, "reliability", "--sweep", "phi:-45:-20:6:db")
+    assert code == 0
+    _, columns, rows = _parse(out)
+    upsilon = [float(r[columns.index("upsilon")]) for r in rows]
+    r_m = [float(r[columns.index("r_m")]) for r in rows]
+    assert all(u > 0.0 for u in upsilon)
+    assert upsilon[0] == math.inf and r_m[0] == 0.0
+    assert all(b >= a for a, b in zip(r_m, r_m[1:]))
+
+
+@pytest.mark.parametrize("command,warns", [
+    ("reliability", False), ("mec", False), ("meee", True)])
+def test_power_warning_only_where_power_is_printed(capsys, command, warns):
+    """Below Phi = 0.15 the power model warns about idle drain; only the
+    command that prints power passes that on."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = _run(capsys, command, "--sweep", "phi:-20:-10:3:db",
+                          *CHEAP)
+    assert code == 0
+    power = [w for w in caught if issubclass(w.category, RuntimeWarning)
+             and "idle power" in str(w.message)]
+    assert len(power) == (3 if warns else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from fasdep.dependability import (
-    ChannelState,
-    DependabilityState,
     FblLink,
-    channel_state,
     decision_threshold_rho,
     fbl_threshold_eta,
     fbl_threshold_trace,
     mission_reliability,
     mttff,
 )
-from fasdep.levelcross import RatePair
 
 import oracles
 
@@ -92,7 +88,7 @@ def test_link_validation():
 
 
 # ---------------------------------------------------------------------------
-# Decision threshold and instantaneous state
+# Decision threshold
 # ---------------------------------------------------------------------------
 
 def test_rho_pinned_value():
@@ -106,17 +102,7 @@ def test_rho_snr_scaling():
         0.5 * decision_threshold_rho(0.5, 1.0), rel=1e-13)
 
 
-def test_channel_state_boundary_is_operational():
-    assert channel_state(0.7, 0.7) is ChannelState.OPERATIONAL
-    assert channel_state(0.7000001, 0.7) is ChannelState.OPERATIONAL
-    assert channel_state(0.6999999, 0.7) is ChannelState.FAILED
-
-
 def test_state_input_validation():
-    with pytest.raises(ValueError):
-        channel_state(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        channel_state(0.5, -0.1)
     with pytest.raises(ValueError):
         decision_threshold_rho(-0.1, 1.0)
     with pytest.raises(ValueError):
@@ -130,6 +116,7 @@ def test_state_input_validation():
 def test_mttff_inverts_rate():
     assert mttff(4.0) == 0.25
     assert mttff(0.0) == math.inf
+    assert mttff(math.inf) == 0.0
     with pytest.raises(ValueError):
         mttff(-1.0)
 
@@ -153,18 +140,8 @@ def test_reliability_validation():
     with pytest.raises(ValueError):
         mission_reliability(-1.0, 2.0)
     with pytest.raises(ValueError):
-        mission_reliability(1.0, 0.0)
-
-
-def test_dependability_state_round_trip():
-    rates = RatePair(failure_rate=0.2, repair_rate=5.0)
-    st = DependabilityState.from_rates(rates, mission_duration=3.0)
-    assert st.mean_ttff == pytest.approx(5.0, rel=1e-13)
-    assert st.reliability == pytest.approx(math.exp(-0.6), rel=1e-13)
-
-
-def test_dependability_state_never_failing():
-    st = DependabilityState.from_rates(
-        RatePair(failure_rate=0.0, repair_rate=math.inf), mission_duration=100.0)
-    assert st.mean_ttff == math.inf
-    assert st.reliability == 1.0
+        mission_reliability(1.0, -0.5)
+    # MTTFF 0 is a link that is already down: any mission of positive length fails
+    assert mission_reliability(1.0, 0.0) == 0.0
+    assert mission_reliability(1e-9, 0.0) == 0.0
+    assert mission_reliability(0.0, 0.0) == 1.0

@@ -9,11 +9,9 @@ from fasdep.channel import FasChannel, max_cdf
 from fasdep.levelcross import (
     CrossingContext,
     afd,
-    afd_two_port_series,
     anfd,
     failure_repair_rates,
     lcr,
-    lcr_fully_correlated,
     lcr_iid,
     lcr_two_port_series,
     normalized_lcr,
@@ -93,11 +91,10 @@ def test_small_mu_three_port_near_iid():
 
 
 def test_full_correlation_is_single_port():
+    """Identical ports cross like one port; the generic route refuses them
+    and points at the single-port channel instead."""
     ctx = _ctx(n=4, w=0.0, m=2.0, x=0.9)
-    single = lcr(_ctx(n=1, m=2.0, x=0.9))
-    assert lcr_fully_correlated(ctx) == pytest.approx(single, rel=1e-13)
-    # the generic route must refuse the singular geometry instead
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_ports=1"):
         lcr(ctx)
 
 
@@ -130,8 +127,9 @@ def test_threshold_power_scaling_leaves_lcr_unchanged():
 ])
 def test_series_agrees_with_quadrature(m, mu, x):
     ctx = _ctx(n=2, m=m, x=x, mu=(mu,))
-    assert lcr_two_port_series(ctx) == pytest.approx(lcr(ctx), rel=1e-6)
-    assert afd_two_port_series(ctx) == pytest.approx(afd(ctx), rel=1e-6)
+    series = lcr_two_port_series(ctx)
+    assert series == pytest.approx(lcr(ctx), rel=1e-6)
+    assert max_cdf(ctx.channel, x) / series == pytest.approx(afd(ctx), rel=1e-6)
 
 
 def test_series_tiny_mu_is_iid():
@@ -157,7 +155,7 @@ def test_series_requires_two_nondegenerate_ports():
     with pytest.raises(ValueError):
         lcr_two_port_series(CrossingContext(chan3, 10.0, 1.0))
     pair = FasChannel.with_correlation(2, (1.0,), nakagami_m=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_ports=1"):
         lcr_two_port_series(CrossingContext(pair, 10.0, 1.0))
 
 
@@ -204,6 +202,24 @@ def test_rate_pair_zero_threshold():
     rp = failure_repair_rates(_ctx(x=0.0))
     assert rp.failure_rate == 0.0
     assert rp.repair_rate == math.inf
+
+
+def test_rate_pair_when_crossing_rate_underflows():
+    """lcr = 0 away from x_th = 0 means the envelope sits on one side.
+
+    Far above the envelope scale the link is down almost surely (CDF = 1)
+    and never repairs; far below it, with many ports, it never fails.
+    """
+    high = _ctx(n=4, w=0.3, m=2.0, x=57.9)
+    assert lcr(high) == 0.0
+    assert max_cdf(high.channel, 57.9) == pytest.approx(1.0, abs=1e-10)
+    rp = failure_repair_rates(high)
+    assert (rp.failure_rate, rp.repair_rate) == (math.inf, 0.0)
+
+    low = _ctx(n=32, w=3.1, m=2.0, x=1e-3)
+    assert lcr(low) == 0.0
+    rp = failure_repair_rates(low)
+    assert (rp.failure_rate, rp.repair_rate) == (0.0, math.inf)
 
 
 def test_rate_pair_deep_tail_stays_finite():

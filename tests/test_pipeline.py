@@ -1,6 +1,7 @@
 """Wiring of the SNR -> reliability -> efficiency chain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,8 +58,12 @@ def test_evaluate_composes_module_functions():
 
 
 def test_meee_shortcut_equals_evaluate():
+    """optimize_meee's ratio (evaluate's mEC over its power) is evaluate's
+    mEEE at the optimum, bit for bit."""
     sys_ = _system()
-    assert sys_.meee(3.0, PROFILE, 5.0) == sys_.evaluate(3.0, PROFILE, 5.0).meee
+    cfg = DinkelbachConfig(lb=0.05, ub=100.0, inner_tol=1e-7, outer_tol=1e-9)
+    res = optimize_meee(sys_, PROFILE, 5.0, min_reliability=0.0, cfg=cfg)
+    assert res.value_star == sys_.evaluate(res.phi_star, PROFILE, 5.0).meee
 
 
 def test_rate_cache_reuses_quadrature():
@@ -94,7 +99,8 @@ def test_reliability_decays_with_mission_length():
 
 def test_more_ports_longer_mttff():
     """Port diversity stretches the mean time to first failure."""
-    ttffs = [_system(n=n, w=0.5).mean_ttff(2.0) for n in (1, 2, 3)]
+    ttffs = [_system(n=n, w=0.5).evaluate(2.0, PROFILE, 5.0).mean_ttff
+             for n in (1, 2, 3)]
     assert all(b > a for a, b in zip(ttffs, ttffs[1:]))
 
 
@@ -108,7 +114,8 @@ def test_optimize_meee_interior_peak():
     assert cfg.lb < res.phi_star < cfg.ub
     # local optimality against nearby evaluations
     for bump in (0.9, 1.1):
-        assert sys_.meee(res.phi_star * bump, PROFILE, 5.0) <= res.value_star * (1 + 1e-6)
+        assert (sys_.evaluate(res.phi_star * bump, PROFILE, 5.0).meee
+                <= res.value_star * (1 + 1e-6))
     assert all(b >= a for a, b in zip(res.kappa_trace, res.kappa_trace[1:]))
 
 
@@ -130,8 +137,13 @@ def test_optimize_meee_respects_reliability_floor():
 def test_optimize_meee_infeasible_floor():
     sys_ = _system()
     cfg = DinkelbachConfig(lb=0.05, ub=0.2, inner_tol=1e-7, outer_tol=1e-9)
-    res = optimize_meee(sys_, PROFILE, mission_duration=50.0,
-                        min_reliability=1.0 - 1e-12, cfg=cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = optimize_meee(sys_, PROFILE, mission_duration=50.0,
+                            min_reliability=1.0 - 1e-12, cfg=cfg)
+    # the feasibility probes see only R_M, never the power model, whose
+    # idle-power warning every Phi in this range would otherwise raise
+    assert caught == []
     assert not res.feasible
     assert math.isnan(res.phi_star)
 

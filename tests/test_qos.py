@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from fasdep.channel import FasChannel
 from fasdep.dependability import FblLink
+from fasdep.pipeline import MissionSystem
 from fasdep.qos import (
     QosProfile,
     effective_bandwidth,
-    effective_capacity_onoff,
     max_arrival_rate,
-    meee,
     mission_effective_capacity,
     total_power,
 )
@@ -20,64 +20,11 @@ from fasdep.qos import (
 import oracles
 
 # Pinned by tests/oracles.py.
-EC_ONOFF_POINT = 0.7767187491074674    # theta=0.01, R=1, V11=0.3, V22=0.8
 MEC_BASE_POINT = 0.099989482963496664  # theta=1e-3, n=1000, R=0.1, w=0.9999
 RMAX_BASE_POINT = 0.079996800255977817  # theta=1e-3, S=0.5, mec=0.08
 POWER_BASE_POINT = 0.909               # phi=5, load=0.04/0.1, default profile
 
 PROFILE = QosProfile()
-
-
-# ---------------------------------------------------------------------------
-# On-off effective capacity
-# ---------------------------------------------------------------------------
-
-def test_ec_onoff_pinned_value():
-    assert effective_capacity_onoff(0.01, 1.0, 0.3, 0.8) == pytest.approx(
-        EC_ONOFF_POINT, rel=1e-12)
-
-
-def test_ec_onoff_matches_eigen_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        theta = float(rng.uniform(1e-4, 1.0))
-        rate = float(rng.uniform(0.05, 3.0))
-        v11 = float(rng.uniform(0.0, 1.0))
-        v22 = float(rng.uniform(0.0, 1.0))
-        got = effective_capacity_onoff(theta, rate, v11, v22)
-        want = oracles.ec_onoff_eig(theta, rate, v11, v22)
-        assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_ec_onoff_zero_rate_serves_nothing():
-    assert effective_capacity_onoff(0.1, 0.0, 0.4, 0.6) == pytest.approx(
-        0.0, abs=1e-14)
-
-
-def test_ec_onoff_always_on_source_reaches_rate():
-    # V22 = 1 with V11 < e^(-theta R): the ON state persists, EC = R
-    assert effective_capacity_onoff(0.01, 0.5, 0.3, 1.0) == pytest.approx(
-        0.5, rel=1e-12)
-
-
-def test_ec_onoff_bounded_by_rate():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        theta = float(rng.uniform(1e-3, 2.0))
-        rate = float(rng.uniform(0.1, 2.0))
-        ec = effective_capacity_onoff(theta, rate,
-                                      float(rng.uniform(0, 1)),
-                                      float(rng.uniform(0, 1)))
-        assert -1e-12 <= ec <= rate + 1e-12
-
-
-def test_ec_onoff_validation():
-    with pytest.raises(ValueError):
-        effective_capacity_onoff(0.0, 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        effective_capacity_onoff(0.1, -1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        effective_capacity_onoff(0.1, 1.0, 1.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +171,13 @@ def test_profile_validation():
         QosProfile(circuit_power=-0.1)
 
 
-def test_meee_composes_the_chain():
-    """meee must equal the hand-assembled mec -> rmax -> power quotient."""
-    link = FblLink(blocklength=1000, error_target=1e-2, rate=0.1, avg_snr=10.0)
-    rel = lambda snr, dt: 0.97
-    got = meee(10.0, link, PROFILE, 5.0, rel)
-    mec = mission_effective_capacity(1e-3, 1000, 0.1, 0.97)
-    rmax = max_arrival_rate(1e-3, 0.5, mec)
-    want = mec / total_power(10.0, PROFILE, rmax, 0.1)
-    assert got == pytest.approx(want, rel=1e-13)
-
-
 def test_meee_increases_with_reliability():
+    """At one SNR, shorter missions raise R_M and with it the efficiency."""
     link = FblLink(blocklength=1000, error_target=1e-2, rate=0.1, avg_snr=10.0)
-    vals = [meee(10.0, link, PROFILE, 5.0, lambda s, d, w=w: w)
-            for w in (0.5, 0.9, 0.99, 0.9999)]
+    system = MissionSystem(FasChannel(2, 0.5, 2.0), 10.0, link)
+    points = [system.evaluate(1.0, PROFILE, dt) for dt in (20.0, 5.0, 1.0, 0.1)]
+    rels = [pt.reliability for pt in points]
+    vals = [pt.meee for pt in points]
+    assert 0.0 < rels[0] and rels[-1] < 1.0
+    assert all(b > a for a, b in zip(rels, rels[1:]))
     assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -49,41 +49,44 @@ def test_j0_matches_integral_representation():
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel I
+# Modified Bessel I (the shipped array kernel)
 # ---------------------------------------------------------------------------
 
+def _log_bessel_i(order, x):
+    """log I_order(x) = scaled + order log(x/2), from the array kernel."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return specfun._log_bessel_i_scaled_vec(order, x) + order * np.log(0.5 * x)
+
+
 def test_bessel_i_at_zero_argument():
-    assert specfun.bessel_i(0.0, 0.0) == 1.0
-    assert specfun.bessel_i(1.0, 0.0) == 0.0
-    assert specfun.bessel_i(2.5, 0.0) == 0.0
+    """I_nu(x) (x/2)^-nu -> 1/Gamma(nu+1) at x = 0, so I_0(0) = 1."""
+    for order in (0.0, 1.0, 2.5):
+        got = specfun._log_bessel_i_scaled_vec(order, np.array([0.0]))[0]
+        assert got == pytest.approx(-math.lgamma(order + 1.0), abs=1e-15)
+    assert specfun._log_bessel_i_scaled_vec(0.0, np.array([0.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("x", [0.1, 0.9, 3.0, 17.0, 80.0])
 def test_bessel_i_half_order_closed_form(x):
-    """I_{1/2}(x) = sinh(x) sqrt(2/(pi x))."""
+    """I_{1/2}(x) = sinh(x) sqrt(2/(pi x)); x = 80 takes the asymptotic branch."""
     want = math.sinh(x) * math.sqrt(2.0 / (math.pi * x))
-    assert specfun.bessel_i(0.5, x) == pytest.approx(want, rel=1e-12)
+    assert math.exp(_log_bessel_i(0.5, x)[0]) == pytest.approx(want, rel=1e-12)
 
 
 def test_log_bessel_i_consistent_with_linear_scale():
+    """Both branches against scipy's exponentially scaled I_nu, in one call."""
+    from scipy import special
+
     for order in (0.0, 1.0, 3.5):
-        for x in (0.5, 4.0, 25.0):
-            assert specfun.log_bessel_i(order, x) == pytest.approx(
-                math.log(specfun.bessel_i(order, x)), rel=1e-12)
+        x = np.array([0.5, 4.0, 25.0, 150.0, 400.0])
+        want = np.log(special.ive(order, x)) + x
+        np.testing.assert_allclose(_log_bessel_i(order, x), want, rtol=1e-12)
 
 
 def test_log_bessel_i_far_past_overflow():
     # I_0(2000) overflows float64; the log form must not
-    lv = specfun.log_bessel_i(0.0, 2000.0)
+    lv = _log_bessel_i(0.0, 2000.0)[0]
     assert lv == pytest.approx(2000.0 - 0.5 * math.log(2 * math.pi * 2000.0), rel=1e-6)
-    assert specfun.bessel_i(0.0, 2000.0) == math.inf
-
-
-def test_bessel_i_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        specfun.log_bessel_i(1.0, -0.5)
-    with pytest.raises(ValueError):
-        specfun.bessel_i(-0.25, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,30 +94,21 @@ def test_bessel_i_rejects_negative_argument():
 # ---------------------------------------------------------------------------
 
 def test_lower_gamma_exponential_identity():
-    """gamma(1, x) is the unnormalized exponential CDF."""
+    """P(1, x) is the exponential CDF."""
     for x in (0.1, 1.0, 2.5, 9.0):
-        assert specfun.lower_inc_gamma(1.0, x) == pytest.approx(
+        assert specfun.reg_lower_inc_gamma(1.0, x) == pytest.approx(
             -math.expm1(-x), rel=1e-13)
 
 
 def test_lower_gamma_at_zero():
-    assert specfun.lower_inc_gamma(2.5, 0.0) == 0.0
+    assert specfun.reg_lower_inc_gamma(2.5, 0.0) == 0.0
     assert specfun.reg_lower_inc_gamma(0.7, 0.0) == 0.0
 
 
 def test_lower_gamma_pinned_value():
-    assert specfun.lower_inc_gamma(2.5, 3.7) == pytest.approx(
-        LOWER_GAMMA_2_5_AT_3_7, rel=1e-12)
-
-
-def test_gamma_pair_sums_to_whole():
-    """gamma(s,x) + Gamma(s,x) = Gamma(s) across both algorithm branches."""
-    rng = np.random.default_rng(77)
-    for _ in range(300):
-        s = float(rng.uniform(0.2, 40.0))
-        x = float(rng.uniform(0.0, 80.0))
-        total = specfun.lower_inc_gamma(s, x) + specfun.upper_inc_gamma(s, x)
-        assert total == pytest.approx(math.gamma(s), rel=1e-12)
+    """gamma(2.5, 3.7) = P(2.5, 3.7) Gamma(2.5)."""
+    assert specfun.reg_lower_inc_gamma(2.5, 3.7) * math.gamma(2.5) == \
+        pytest.approx(LOWER_GAMMA_2_5_AT_3_7, rel=1e-12)
 
 
 def test_regularized_pair_complementary():
@@ -141,67 +135,62 @@ def test_gamma_series_budget_exhaustion():
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q
+# Marcum Q, through the shipped kernel for 1 - Q_nu(a, b)
 # ---------------------------------------------------------------------------
 
+def _marcum_cdf(order, a, b):
+    """1 - Q_order(a, b) from _one_minus_marcum_q_fixed_b (a may be an array)."""
+    y = 0.5 * np.square(np.atleast_1d(np.asarray(a, dtype=float)))
+    return specfun._one_minus_marcum_q_fixed_b(order, y, 0.5 * b * b)
+
+
 def test_marcum_tail_from_zero_threshold():
-    assert specfun.marcum_q(1.0, 0.7, 0.0) == 1.0
-    assert specfun.marcum_q(3.5, 0.0, 0.0) == 1.0
+    """Q_nu(a, 0) = 1, so the kernel returns exactly 0 at b = 0."""
+    assert _marcum_cdf(1.0, [0.7, 3.0], 0.0).tolist() == [0.0, 0.0]
+    assert _marcum_cdf(3.5, 0.0, 0.0)[0] == 0.0
 
 
 def test_marcum_zero_noncentrality_is_gamma_tail():
-    """Q_1(0, b) = e^(-b^2/2)."""
-    assert specfun.marcum_q(1.0, 0.0, 2.0) == pytest.approx(
-        math.exp(-2.0), rel=1e-13)
-    assert specfun.marcum_q(2.0, 0.0, 1.3) == pytest.approx(
-        specfun.reg_upper_inc_gamma(2.0, 0.845), rel=1e-13)
+    """Q_1(0, b) = e^(-b^2/2); Q_nu(0, b) = Q(nu, b^2/2)."""
+    assert 1.0 - _marcum_cdf(1.0, 0.0, 2.0)[0] == pytest.approx(
+        math.exp(-2.0), abs=1e-14)
+    assert 1.0 - _marcum_cdf(2.0, 0.0, 1.3)[0] == pytest.approx(
+        specfun.reg_upper_inc_gamma(2.0, 0.845), abs=1e-14)
 
 
 def test_marcum_pinned_value():
-    assert specfun.marcum_q(2.0, 1.5, 0.8) == pytest.approx(
-        MARCUM_Q2_1_5_0_8, rel=1e-11)
+    assert 1.0 - _marcum_cdf(2.0, 1.5, 0.8)[0] == pytest.approx(
+        MARCUM_Q2_1_5_0_8, abs=1e-12)
 
 
 def test_marcum_stays_in_unit_interval():
     rng = np.random.default_rng(5)
     for _ in range(300):
         order = float(rng.uniform(0.5, 8.0))
-        a = float(rng.uniform(0.0, 15.0))
+        a = rng.uniform(0.0, 15.0, size=8)
         b = float(rng.uniform(0.0, 15.0))
-        q = specfun.marcum_q(order, a, b)
-        assert 0.0 <= q <= 1.0
+        cdf = _marcum_cdf(order, a, b)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
 
 
 def test_marcum_monotone_in_each_argument():
-    """Increasing in a and order, decreasing in b."""
+    """Q increasing in a and order, decreasing in b; 1 - Q the reverse."""
     rng = np.random.default_rng(6)
     for _ in range(150):
         order = float(rng.uniform(0.5, 6.0))
         a = float(rng.uniform(0.1, 8.0))
         b = float(rng.uniform(0.1, 8.0))
-        q = specfun.marcum_q(order, a, b)
-        assert specfun.marcum_q(order, a + 0.5, b) >= q - 1e-12
-        assert specfun.marcum_q(order, a, b + 0.5) <= q + 1e-12
-        assert specfun.marcum_q(order + 0.5, a, b) >= q - 1e-12
+        cdf = _marcum_cdf(order, [a, a + 0.5], b)
+        assert cdf[1] <= cdf[0] + 1e-12
+        assert _marcum_cdf(order, a, b + 0.5)[0] >= cdf[0] - 1e-12
+        assert _marcum_cdf(order + 0.5, a, b)[0] <= cdf[0] + 1e-12
 
 
 def test_marcum_against_defining_integral():
-    for order, a, b in ((1.0, 1.2, 2.1), (2.5, 0.4, 1.0), (4.0, 3.0, 5.5)):
-        assert specfun.marcum_q(order, a, b) == pytest.approx(
+    for order, a, b in ((1.0, 1.2, 2.1), (2.5, 0.4, 1.0), (4.0, 3.0, 5.5),
+                        (2.0, 30.0, 29.0)):
+        assert 1.0 - _marcum_cdf(order, a, b)[0] == pytest.approx(
             oracles.marcum_q_ncx2(order, a, b), abs=1e-11)
-
-
-def test_marcum_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        specfun.marcum_q(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        specfun.marcum_q(1.0, -1.0, 1.0)
-
-
-def test_marcum_budget_exhaustion_is_loud():
-    # a^2/2 = 20000 is far beyond the default 500-term budget
-    with pytest.raises(SeriesTruncationError):
-        specfun.marcum_q(1.0, 200.0, 200.0)
 
 
 # ---------------------------------------------------------------------------
