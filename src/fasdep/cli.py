@@ -374,8 +374,11 @@ def _run_crossing(spec: ExperimentSpec) -> ResultSet:
         else:
             # levelcross.afd and anfd, sharing one crossing rate and CDF
             cdf = max_cdf(chan, th)
-            fade = cdf / rate if th > 0.0 else 0.0
-            non_fade = 1.0 / rate - fade if rate > 0.0 else math.inf
+            if rate > 0.0:
+                fade = cdf / rate if th > 0.0 else 0.0
+                non_fade = 1.0 / rate - fade
+            else:  # underflowed: the link stays down above the median
+                fade, non_fade = (math.inf, 0.0) if cdf > 0.5 else (0.0, math.inf)
             rows.append([v if v is not None else phi, th, fade, non_fade,
                          cdf, rate])
     columns = ([label, "threshold", "lcr", "nlcr"] if spec.command == "lcr"

@@ -221,17 +221,27 @@ def lcr_two_port_series(ctx: CrossingContext,
 
 
 def afd(ctx: CrossingContext) -> float:
-    """Average fade duration: time below threshold per down-crossing, seconds."""
+    """Average fade duration: time below threshold per down-crossing, seconds.
+
+    Where the crossing rate underflows to 0 at a positive threshold, the
+    convention of failure_repair_rates holds: above the median of the
+    selected envelope the link stays down (inf), below it it never fades (0).
+    """
     if ctx.threshold == 0.0:
         return 0.0
-    return max_cdf(ctx.channel, ctx.threshold) / lcr(ctx)
+    cdf = max_cdf(ctx.channel, ctx.threshold)
+    rate = lcr(ctx)
+    if rate == 0.0:
+        return math.inf if cdf > 0.5 else 0.0
+    return cdf / rate
 
 
 def anfd(ctx: CrossingContext) -> float:
-    """Average non-fade duration 1/LCR - AFD, seconds."""
+    """Average non-fade duration 1/LCR - AFD, seconds (0 where AFD is inf)."""
     rate = lcr(ctx)
     if rate == 0.0:
-        return math.inf
+        down = ctx.threshold > 0.0 and max_cdf(ctx.channel, ctx.threshold) > 0.5
+        return 0.0 if down else math.inf
     return 1.0 / rate - afd(ctx)
 
 

@@ -10,6 +10,15 @@ so the per-realization derivative variance pi^2 (sigma^2/m) f_D^2 holds
 tightly even at 64 oscillators; fully random angles leave a few-percent
 bias in crossing rates at that count.
 
+Synthesis never evaluates a cosine per sample.  Each trial precomputes,
+per process, a float32 lag table amp [cos(omega s dt); -sin(omega s dt)]
+over the _SUB lags of a sub-block (computed in double, one process at a
+time).  A block's samples are then one batched float32 matmul of that table
+with the coefficients [cos theta_j; sin theta_j] of each sub-block start,
+theta_j = omega t_j + phi reduced mod 2 pi in double.  The envelopes agree
+with a double-precision cosine sum to a few 1e-6 at any depth into the
+trace (measured up to sample 2^31).
+
 Long runs should use scan_crossings, which streams blocks and never holds
 the full trace; generate_fading materializes an N x T matrix and is meant
 for traces up to a few million samples.
@@ -43,7 +52,11 @@ __all__ = [
     "export_trace",
 ]
 
-_BLOCK = 1 << 13           # samples per streamed block; sized for L2 residency
+# One block is one matmul over _BLOCK/_SUB sub-blocks; at N=4, m=2 its
+# working buffers peak near 1.3 MiB, and the lag table holds
+# 2mN * 2K * _SUB float32 (2 MiB at N=4, m=2, 64 oscillators).
+_BLOCK = 1 << 13           # samples per streamed block
+_SUB = 256                 # lag-table length: samples per sub-block
 _MIN_RATE_FACTOR = 32.0    # f_s >= 32 f_D or crossings get skipped
 
 
@@ -118,40 +131,51 @@ class _Oscillators:
         self.n_ports = n
         self.mu = cfg.chan.mu
         self.dt = cfg.dt
-        self._omega32 = self.omega.astype(np.float32)
+        # Lag table, per process: amp [cos(omega s dt); -sin(omega s dt)]
+        # for s = 0.._SUB-1, shape (2K, _SUB).  Computed in double one
+        # process at a time, so no (2mN, K, _SUB) double array is alive.
+        lag = np.arange(_SUB) * self.dt
+        self._table = np.empty((n_proc, 2 * k, _SUB), dtype=np.float32)
+        for p in range(n_proc):
+            arg = np.multiply.outer(self.omega[p], lag)
+            self._table[p, :k] = self.amp * np.cos(arg)
+            self._table[p, k:] = -self.amp * np.sin(arg)
 
     def envelopes(self, start: int, count: int) -> np.ndarray:
         """Per-port envelopes for samples [start, start+count), shape (N, count).
 
-        Synthesis runs in float32 for throughput; the block's base phase
-        omega t0 + phi is reduced mod 2 pi in double first, so the in-block
-        float32 phase error stays around 1e-3 radian regardless of how far
-        into the trace the block sits.
+        The samples are cut into sub-blocks of _SUB.  With t_j the start
+        of sub-block j and theta_j = omega t_j + phi,
+        cos(omega (t_j + s dt) + phi)
+            = cos(omega s dt) cos(theta_j) - sin(omega s dt) sin(theta_j),
+        so every process's samples come from one batched float32 matmul of
+        the coefficients [cos theta_j, sin theta_j] with the lag table.
+        theta_j is reduced mod 2 pi, and its cosine and sine taken, in
+        double before the cast, so the float32 error does not grow with
+        how far into the trace the block sits.
         """
         n, m = self.n_ports, self.m
+        k = self.omega.shape[1]
+        n_sub = -(-count // _SUB)
+        t0 = (start + _SUB * np.arange(n_sub)) * self.dt
+        theta = self.omega[:, None, :] * t0[None, :, None]    # (P, n_sub, K)
+        theta += self.phase[:, None, :]
+        np.mod(theta, 2.0 * math.pi, out=theta)
+        coef = np.empty(theta.shape[:2] + (2 * k,), dtype=np.float32)
+        np.cos(theta, out=coef[:, :, :k], casting="same_kind")
+        np.sin(theta, out=coef[:, :, k:], casting="same_kind")
+        gauss = np.matmul(coef, self._table).reshape(len(coef), -1)[:, :count]
         e2 = np.zeros((n, count), dtype=np.float32)
-        rel = np.arange(count, dtype=np.float32) * np.float32(self.dt)
-        base = np.mod(self.omega * (start * self.dt) + self.phase,
-                      2.0 * math.pi).astype(np.float32)
-        work = np.empty((count, self.omega.shape[1]), dtype=np.float32)
-        amp = np.float32(self.amp)
-
-        def process(idx: int) -> np.ndarray:
-            np.multiply.outer(rel, self._omega32[idx], out=work)
-            np.add(work, base[idx], out=work)
-            np.cos(work, out=work)
-            return amp * work.sum(axis=1, dtype=np.float32)
-
         for b in range(m):
             lead = 2 * self.n_ports * b
-            ref_x = process(lead)
-            ref_y = process(lead + 1)
+            ref_x = gauss[lead]
+            ref_y = gauss[lead + 1]
             e2[0] += ref_x * ref_x + ref_y * ref_y
             for port in range(2, n + 1):
                 mu = np.float32(self.mu[port - 2])
                 root = np.float32(math.sqrt(max(1.0 - float(mu) ** 2, 0.0)))
-                hx = root * process(lead + 2 * (port - 1)) + mu * ref_x
-                hy = root * process(lead + 2 * (port - 1) + 1) + mu * ref_y
+                hx = root * gauss[lead + 2 * (port - 1)] + mu * ref_x
+                hy = root * gauss[lead + 2 * (port - 1) + 1] + mu * ref_y
                 e2[port - 1] += hx * hx + hy * hy
         return np.sqrt(e2)
 

@@ -106,6 +106,9 @@ def qfunc_inv_bisect(p: float) -> float:
 # Rice-formula crossing rate by importance sampling
 # ---------------------------------------------------------------------------
 
+_MIN_ESS = 10.0  # Kish effective draws per term below which SEs mean nothing
+
+
 def nlcr_rice_is(chan, threshold: float, draws: int,
                  seed: int) -> tuple[float, float]:
     """Normalized best-port crossing rate and its standard error.
@@ -131,6 +134,12 @@ def nlcr_rice_is(chan, threshold: float, draws: int,
     Reads only `nakagami_m` (2m must be an integer), `power` and `mu` from
     the channel; no Marcum Q, incomplete gamma or quadrature is involved.
     Returns (estimate, standard error); the N terms use independent draws.
+
+    Nearly identical ports (|mu| -> 1) shrink the conditional Gaussians far
+    below the ball, so a handful of draws carry all the weight and both the
+    estimate and its SE are meaningless.  Each term's Kish effective sample
+    size (sum w)^2 / sum w^2 must therefore reach _MIN_ESS, or ValueError
+    is raised.
     """
     m = float(chan.nakagami_m)
     dim = int(round(2.0 * m))
@@ -172,6 +181,16 @@ def nlcr_rice_is(chan, threshold: float, draws: int,
         for j in range(1, chan.n_ports):
             if j != i:
                 logw += log_weight(in_ball(), mus[j] * ref, mus[j])
+        top = logw.max()
+        ess = 0.0
+        if top > -math.inf:
+            rel = np.exp(logw - top)
+            ess = rel.sum() ** 2 / np.sum(rel * rel)
+        if ess < _MIN_ESS:
+            raise ValueError(
+                f"term of port {i + 1} has {ess:.3g} effective draws of {draws} "
+                f"(floor {_MIN_ESS:g}) at threshold {r}: the ball proposal "
+                "cannot resolve this point")
         w = np.exp(logw)
         total += w.mean()
         total_var += w.var(ddof=1) / draws
@@ -180,6 +199,41 @@ def nlcr_rice_is(chan, threshold: float, draws: int,
                - m * r * r / omega - math.lgamma(m) - m * math.log(omega))
     scale = math.sqrt(math.pi * omega / (2.0 * m)) * math.exp(log_pdf)
     return scale * total, scale * math.sqrt(total_var)
+
+
+# ---------------------------------------------------------------------------
+# Sum-of-sinusoids envelopes, direct double-precision cosine sum
+# ---------------------------------------------------------------------------
+
+def sos_envelopes_f64(omega, phase, amp: float, mu, n_ports: int, m: int,
+                      dt: float, start: int, count: int) -> np.ndarray:
+    """Port envelopes for samples [start, start+count), shape (N, count).
+
+    Takes the raw oscillator draw (omega and phase per process, shape
+    (2mN, K)) and evaluates every process as amp sum_k cos(omega_k t +
+    phi_k) at t = (start + s) dt in double, one cosine per sample and
+    oscillator.  Branch b uses processes 2Nb + (0, 1) for the reference
+    pair and 2Nb + 2(k-1) + (0, 1) for port k's innovation, mixed as
+    sqrt(1 - mu^2) innovation + mu reference; the envelope is the root of
+    the in-phase and quadrature power summed over the m branches.
+    """
+    t = (start + np.arange(count, dtype=np.float64)) * dt
+
+    def process(idx):
+        return amp * np.cos(np.multiply.outer(t, omega[idx]) + phase[idx]).sum(axis=1)
+
+    e2 = np.zeros((n_ports, count))
+    for b in range(m):
+        lead = 2 * n_ports * b
+        ref = (process(lead), process(lead + 1))
+        e2[0] += ref[0] ** 2 + ref[1] ** 2
+        for k in range(1, n_ports):
+            mix = float(mu[k - 1])
+            root = math.sqrt(max(1.0 - mix * mix, 0.0))
+            for part in (0, 1):
+                h = root * process(lead + 2 * k + part) + mix * ref[part]
+                e2[k] += h * h
+    return np.sqrt(e2)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_empirical_nlcr_agrees_with_theory(nlcr_runs, nlcr_is, tag, idx):
     1600 expected crossings (2.5% one-sigma), i.e. 1600 * factor / NLCR
     samples, fit in the budget -- is held to the same 5%.  Realized:
       n1     (seed 0): +0.50%, -0.34%, -0.84%, -3.67%
-      n2w05  (seed 1): +0.20%, -1.21%
+      n2w05  (seed 1): +0.20%, -1.22%
       n4w03  (seed 2): -0.01%, -1.38%
     Deeper points need 1.3e8 to 1.7e14 samples, so a 5% bar on their scan
     would measure sampling noise; their counts must instead pass an exact
@@ -249,6 +249,20 @@ def test_rice_is_oracle_matches_iid_closed_form(n, m):
         assert abs(est - want) <= 4.0 * se, (n, m, th, est, want, se)
 
 
+@pytest.mark.parametrize("threshold", (0.8, 0.3))
+def test_rice_is_oracle_refuses_nearly_identical_ports(threshold):
+    """mu up to 0.999 puts all the weight on a few draws in the ball.
+
+    Without the effective-sample-size floor the oracle returned 8.7e-262
+    (SE 0) at x = 0.8 and 5.0e-28 (SE 79%) at x = 0.3, against
+    normalized_lcr 0.73 and 7.5e-4.  Measured: 1.0 and 1.8 effective
+    draws of 2e5.
+    """
+    chan = FasChannel(4, 0.03, 5.0)
+    with pytest.raises(ValueError, match="effective draws"):
+        oracles.nlcr_rice_is(chan, threshold, _IS_DRAWS, 0)
+
+
 @pytest.mark.parametrize("tag", ["n2w05", "n4w03"])
 def test_rice_is_relative_error_bounded(nlcr_is, tag):
     """Relative SE does not grow as the threshold deepens (0 -> 30 dB).
@@ -268,7 +282,7 @@ def test_empirical_nlcr_decreasing_in_snr(nlcr_runs, tag):
 
 
 def test_mc_runtime_budget(nlcr_runs):
-    """All three scans together stay far inside ten minutes (~60 s)."""
+    """All three scans together stay far inside ten minutes (~7 s)."""
     assert sum(run[4] for run in nlcr_runs.values()) < 600.0
 
 

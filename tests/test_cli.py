@@ -218,6 +218,17 @@ def test_rmax_mode_paper(capsys):
     assert float(rows[0][columns.index("rmax")]) > 0.0
 
 
+def test_afd_far_above_envelope_scale(capsys):
+    """The crossing rate underflows to 0 at thresholds 20-60; the sweep
+    must report a link that stays down, not die dividing by it."""
+    code, out, _ = _run(capsys, "afd", "--sweep", "threshold:20:60:3")
+    assert code == 0
+    _, columns, rows = _parse(out)
+    assert [r[columns.index("lcr")] for r in rows] == ["0"] * 3
+    assert all(float(r[columns.index("afd")]) == math.inf for r in rows)
+    assert all(float(r[columns.index("anfd")]) == 0.0 for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # Mission commands
 # ---------------------------------------------------------------------------

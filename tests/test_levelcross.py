@@ -222,6 +222,24 @@ def test_rate_pair_when_crossing_rate_underflows():
     assert (rp.failure_rate, rp.repair_rate) == (0.0, math.inf)
 
 
+def test_fade_durations_above_envelope_scale():
+    """lcr underflows far above the envelope scale: the link stays down,
+    so AFD is inf and ANFD is 0, matching Upsilon = inf, beta = 0."""
+    ctx = CrossingContext(FasChannel(4, 0.3, 2.0), 10.0, 40.0)
+    assert lcr(ctx) == 0.0
+    assert afd(ctx) == math.inf
+    assert anfd(ctx) == 0.0
+
+
+def test_fade_durations_below_envelope_scale():
+    """lcr underflows far below the scale with many ports: the link never
+    fades, so AFD is 0 and ANFD is inf, matching Upsilon = 0."""
+    ctx = _ctx(n=32, w=3.1, m=2.0, x=1e-3)
+    assert lcr(ctx) == 0.0
+    assert afd(ctx) == 0.0
+    assert anfd(ctx) == math.inf
+
+
 def test_rate_pair_deep_tail_stays_finite():
     """Beyond CDF quadrature resolution the failure rate must not blow up.
 
