@@ -4,7 +4,10 @@ The port layout is a uniform linear aperture of ``aperture`` wavelengths;
 port k's envelope is correlated with the reference port through
 J0(2 pi (k-1) W / (N-1)).  Joint statistics follow the product-of-bivariate
 construction: the reference envelope carries the marginal Nakagami law and
-every other port is conditionally independent given it.
+every other port is conditionally independent given it, so each joint CDF
+integrates the reference density against the conditional port CDFs
+F_k(x1) = 1 - Q_m(c_k x1, d_k X_k), evaluated directly by the Marcum
+kernel in specfun.
 
 All densities depend on the correlations only through mu_k^2, so negative
 J0 values (wide apertures) need no special treatment; formulas written
@@ -14,7 +17,6 @@ form to keep non-integer m and mu <= 0 on one code path.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
@@ -148,102 +150,36 @@ def marginal_cdf(chan: FasChannel, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Conditional-factor machinery shared with the crossing-rate integrals
+# Conditional port CDFs shared with the crossing-rate integrals
 # ---------------------------------------------------------------------------
 
-# A "factor" is F_k(x1) = 1 - Q_m(c_k x1, d_k X_k): the conditional
-# probability that port k sits below X_k given the reference envelope x1.
-# c_k^2 = 2 m mu_k^2 / (s2 (1 - mu_k^2)) and d_k^2 = 2 m / (s2 (1 - mu_k^2)).
-#
-# Evaluation goes through the Poisson-mixture table in specfun.  When the
-# mixture mean gets large the per-call window is wide, so the factor is
-# replaced by a Chebyshev interpolant fitted once per (channel, threshold);
-# its accuracy is verified against the direct evaluation before use.  In
-# that regime the factor value is bounded away from 0 (the Marcum arguments
-# satisfy a = mu b < b), so an absolute fit tolerance preserves relative
-# accuracy.
+def _conditional_cdfs(chan: FasChannel, uppers: Sequence[float],
+                      x1: np.ndarray) -> np.ndarray:
+    """Rows F_k(x1) = 1 - Q_m(c_k x1, d_k X_k) for ports k = 2..N.
 
-_CHEB_Y_CUTOFF = 300.0
-_CHEB_FIT_TOL = 5e-11
-
-
-class _Factor:
-    def __init__(self, m: float, sigma2: float, mu_k: float, upper: float,
-                 domain_hi: float):
+    F_k is the conditional probability that port k sits below X_k =
+    uppers[k-2] given the reference envelope x1, with
+    c_k^2 = 2 m mu_k^2 / (s2 (1 - mu_k^2)) and d_k^2 = 2 m / (s2 (1 - mu_k^2)).
+    Returns an (N-1, len(x1)) array; callers reject |mu_k| = 1.
+    """
+    m = chan.nakagami_m
+    s2 = chan.power
+    x1_sq = np.square(np.asarray(x1, dtype=float))
+    rows = np.empty((len(chan.mu), x1_sq.size))
+    for row, mu_k, upper in zip(rows, chan.mu, uppers):
         one_minus = 1.0 - mu_k * mu_k
-        if one_minus <= 0.0:
-            raise ValueError("factor undefined at |mu_k| = 1")
-        self.order = m
-        self.y_scale = m * mu_k * mu_k / (sigma2 * one_minus)   # y = y_scale x1^2
-        self.z = m * upper * upper / (sigma2 * one_minus)
-        self._cheb = None
-        y_max = self.y_scale * domain_hi * domain_hi
-        if y_max > _CHEB_Y_CUTOFF and domain_hi > 0.0:
-            self._cheb = self._fit_cheb(domain_hi)
-
-    def _direct(self, x1: np.ndarray) -> np.ndarray:
-        y = self.y_scale * np.square(np.asarray(x1, dtype=float))
-        return specfun._one_minus_marcum_q_fixed_b(self.order, y, self.z)
-
-    def _fit_cheb(self, hi: float):
-        from numpy.polynomial.chebyshev import Chebyshev
-
-        for deg in (64, 128, 256, 512, 1024):
-            fit = Chebyshev.interpolate(self._direct, deg, domain=[0.0, hi])
-            # probe strictly between the first-kind interpolation nodes
-            # cos(pi (j+1/2)/(deg+1)), plus both endpoints; probing the
-            # nodes themselves would pass any fit
-            probe = 0.5 * hi * (1.0 + np.cos(
-                np.pi * np.arange(deg + 2) / (deg + 1)))
-            if float(np.max(np.abs(fit(probe) - self._direct(probe)))) < _CHEB_FIT_TOL:
-                return fit
-        return None  # direct evaluation stays correct, just slower
-
-    def __call__(self, x1: np.ndarray) -> np.ndarray:
-        if self._cheb is not None:
-            return np.clip(self._cheb(np.asarray(x1, dtype=float)), 0.0, 1.0)
-        return self._direct(x1)
-
-
-class _FactorSet:
-    """All N-1 conditional factors of a channel at one common threshold."""
-
-    def __init__(self, chan: FasChannel, x_th: float):
-        self.factors = tuple(
-            _Factor(chan.nakagami_m, chan.power, mu_k, x_th, x_th)
-            for mu_k in chan.mu)
-
-    def stack(self, x1: np.ndarray) -> np.ndarray:
-        return np.vstack([f(x1) for f in self.factors]) if self.factors \
-            else np.ones((0, np.asarray(x1).size))
-
-    def product(self, x1: np.ndarray) -> np.ndarray:
-        vals = self.stack(x1)
-        return vals.prod(axis=0)
-
-    def product_excluding(self, skip: int, x1: np.ndarray) -> np.ndarray:
-        """Product over k != skip, with skip indexed like the port (2-based)."""
-        vals = self.stack(x1)
-        n, width = vals.shape
-        out = np.ones(width)
-        for row in range(n):
-            if row != skip - 2:
-                out *= vals[row]
-        return out
-
-
-@functools.lru_cache(maxsize=256)
-def _threshold_factors(chan: FasChannel, x_th: float) -> _FactorSet:
-    return _FactorSet(chan, x_th)
+        y_scale = m * mu_k * mu_k / (s2 * one_minus)
+        z = m * upper * upper / (s2 * one_minus)
+        row[:] = specfun._one_minus_marcum_q_fixed_b(m, y_scale * x1_sq, z)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Joint statistics
 # ---------------------------------------------------------------------------
 
-def _cdf_quad(chan: FasChannel, x1_hi: float, fset: "_FactorSet | None",
-              factors) -> float:
-    """Common quadrature core: integral of marginal(x1) * prod factors."""
+def _cdf_quad(chan: FasChannel, x1_hi: float, uppers: Sequence[float]) -> float:
+    """Common quadrature core: integral of marginal(x1) * prod_k F_k(x1)."""
     m = chan.nakagami_m
     s2 = chan.power
 
@@ -252,13 +188,7 @@ def _cdf_quad(chan: FasChannel, x1_hi: float, fset: "_FactorSet | None",
         safe = np.maximum(x1, 1e-300)
         lead = np.exp(_log_marginal_pdf_vec(m, s2, safe))
         lead[x1 <= 0.0] = marginal_pdf(chan, 0.0)
-        if fset is not None:
-            prod = fset.product(x1)
-        else:
-            prod = np.ones_like(x1)
-            for f in factors:
-                prod *= f(x1)
-        return lead * prod
+        return lead * _conditional_cdfs(chan, uppers, x1).prod(axis=0)
 
     # seed the mesh around the marginal mode so a single wide segment
     # cannot straddle a sharp peak unnoticed
@@ -283,12 +213,7 @@ def joint_cdf(chan: FasChannel, upper: Sequence[float]) -> float:
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
     if any(v == 0.0 for v in ups):
         return 0.0
-    if len(set(ups)) == 1:
-        return max_cdf(chan, ups[0])
-    factors = [
-        _Factor(chan.nakagami_m, chan.power, mu_k, xk, ups[0])
-        for mu_k, xk in zip(chan.mu, ups[1:])]
-    return _cdf_quad(chan, ups[0], None, factors)
+    return _cdf_quad(chan, ups[0], ups[1:])
 
 
 def max_cdf(chan: FasChannel, x_th: float) -> float:
@@ -301,12 +226,11 @@ def max_cdf(chan: FasChannel, x_th: float) -> float:
         return marginal_cdf(chan, x_th)
     if chan.degenerate_ports():
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
-    fset = _threshold_factors(chan, float(x_th))
-    return _cdf_quad(chan, float(x_th), fset, None)
+    x_th = float(x_th)
+    return _cdf_quad(chan, x_th, (x_th,) * len(chan.mu))
 
 
-def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float,
-                         tol: specfun.EvalTolerance = None) -> float:
+def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float) -> float:
     """Two-port joint CDF by its gamma-product series.
 
     Series form: (1-mu^2)^m / Gamma(m) * sum_k mu^(2k)

@@ -26,8 +26,8 @@ from .channel import FasChannel, bivariate_cdf_series, joint_cdf, max_cdf
 from .dependability import FblLink, fbl_threshold_eta, fbl_threshold_trace
 from .errors import FasdepError, NoCrossingError, QuadratureError, \
     SeriesTruncationError
-from .levelcross import CrossingContext, afd, anfd, failure_repair_rates, \
-    lcr, lcr_iid, lcr_two_port_series, normalized_lcr
+from .levelcross import CrossingContext, _fade_durations, afd, anfd, \
+    failure_repair_rates, lcr, lcr_iid, lcr_two_port_series, normalized_lcr
 from .mcsim import SimConfig, generate_fading, scan_crossings
 from .optimize import DinkelbachConfig, dinkelbach_maximize
 from .pipeline import MissionSystem, optimize_meee
@@ -374,11 +374,7 @@ def _run_crossing(spec: ExperimentSpec) -> ResultSet:
         else:
             # levelcross.afd and anfd, sharing one crossing rate and CDF
             cdf = max_cdf(chan, th)
-            if rate > 0.0:
-                fade = cdf / rate if th > 0.0 else 0.0
-                non_fade = 1.0 / rate - fade
-            else:  # underflowed: the link stays down above the median
-                fade, non_fade = (math.inf, 0.0) if cdf > 0.5 else (0.0, math.inf)
+            fade, non_fade = _fade_durations(th, cdf, rate)
             rows.append([v if v is not None else phi, th, fade, non_fade,
                          cdf, rate])
     columns = ([label, "threshold", "lcr", "nlcr"] if spec.command == "lcr"

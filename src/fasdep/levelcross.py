@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import (FasChannel, _logaddexp, _threshold_factors,
+from .channel import (FasChannel, _conditional_cdfs, _logaddexp,
                       marginal_pdf, max_cdf)
 from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_gk
@@ -95,12 +95,12 @@ def lcr(ctx: CrossingContext) -> float:
     if x == 0.0:
         return 0.0
 
-    fset = _threshold_factors(chan, float(x))
     # boundary term of the reference port
-    t_ref = 0.5 * marginal_pdf(chan, x) * float(fset.product(np.array([x]))[0])
+    t_ref = 0.5 * marginal_pdf(chan, x) * float(_conditional_cdfs(
+        chan, (float(x),) * len(chan.mu), np.array([x])).prod(axis=0)[0])
     total = t_ref
     for port in range(2, chan.n_ports + 1):
-        total += 0.5 * _port_crossing_integral(chan, fset, port, x)
+        total += 0.5 * _port_crossing_integral(chan, port, x)
     return math.sqrt(2.0 * math.pi / m) * math.sqrt(s2) * ctx.doppler_hz * total
 
 
@@ -109,7 +109,7 @@ def normalized_lcr(ctx: CrossingContext) -> float:
     return lcr(ctx) / ctx.doppler_hz
 
 
-def _port_crossing_integral(chan: FasChannel, fset, port: int, x: float) -> float:
+def _port_crossing_integral(chan: FasChannel, port: int, x: float) -> float:
     """Integral over the reference envelope for the boundary term of `port`."""
     m = chan.nakagami_m
     s2 = chan.power
@@ -120,6 +120,7 @@ def _port_crossing_integral(chan: FasChannel, fset, port: int, x: float) -> floa
     const = (math.log(4.0) + 2.0 * m * math.log(m) + (2.0 * m - 1.0) * math.log(x)
              - math.lgamma(m) - 2.0 * m * math.log(s2) - m * math.log(om)
              - m * x * x / denom)
+    uppers = (float(x),) * len(chan.mu)
 
     def integrand(x1: np.ndarray) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
@@ -129,7 +130,9 @@ def _port_crossing_integral(chan: FasChannel, fset, port: int, x: float) -> floa
               - m * x1 * x1 / denom)
         vals = np.exp(lg)
         vals[x1 <= 0.0] = 0.0 if m > 0.5 else math.exp(const)
-        return vals * fset.product_excluding(port, x1)
+        # the other ports' conditional CDFs, leaving out this port's row
+        others = np.delete(_conditional_cdfs(chan, uppers, x1), port - 2, axis=0)
+        return vals * others.prod(axis=0)
 
     # the kernel rides a ridge near mu*x and, for |mu| near 1, piles up
     # against the right endpoint on a width set by the residual spread
@@ -220,29 +223,31 @@ def lcr_two_port_series(ctx: CrossingContext,
     return ctx.doppler_hz * math.exp(lead + total)
 
 
-def afd(ctx: CrossingContext) -> float:
-    """Average fade duration: time below threshold per down-crossing, seconds.
+def _fade_durations(threshold: float, cdf: float,
+                    rate: float) -> tuple[float, float]:
+    """(AFD, ANFD) from the CDF and the crossing rate at one threshold.
 
-    Where the crossing rate underflows to 0 at a positive threshold, the
-    convention of failure_repair_rates holds: above the median of the
-    selected envelope the link stays down (inf), below it it never fades (0).
+    AFD = CDF/LCR and ANFD = 1/LCR - AFD.  Where the crossing rate
+    underflows to 0, the convention of failure_repair_rates holds: above
+    the median of the selected envelope the link stays down (AFD inf,
+    ANFD 0), below it it never fades (AFD 0, ANFD inf).
     """
-    if ctx.threshold == 0.0:
-        return 0.0
-    cdf = max_cdf(ctx.channel, ctx.threshold)
-    rate = lcr(ctx)
     if rate == 0.0:
-        return math.inf if cdf > 0.5 else 0.0
-    return cdf / rate
+        return (math.inf, 0.0) if cdf > 0.5 else (0.0, math.inf)
+    fade = cdf / rate if threshold > 0.0 else 0.0
+    return fade, 1.0 / rate - fade
+
+
+def afd(ctx: CrossingContext) -> float:
+    """Average fade duration: time below threshold per down-crossing, seconds."""
+    return _fade_durations(ctx.threshold, max_cdf(ctx.channel, ctx.threshold),
+                           lcr(ctx))[0]
 
 
 def anfd(ctx: CrossingContext) -> float:
     """Average non-fade duration 1/LCR - AFD, seconds (0 where AFD is inf)."""
-    rate = lcr(ctx)
-    if rate == 0.0:
-        down = ctx.threshold > 0.0 and max_cdf(ctx.channel, ctx.threshold) > 0.5
-        return 0.0 if down else math.inf
-    return 1.0 / rate - afd(ctx)
+    return _fade_durations(ctx.threshold, max_cdf(ctx.channel, ctx.threshold),
+                           lcr(ctx))[1]
 
 
 def failure_repair_rates(ctx: CrossingContext) -> RatePair:

@@ -19,15 +19,12 @@ Numerical Recipes ch. 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SeriesTruncationError
 
 __all__ = [
-    "EvalTolerance",
-    "DEFAULT_TOL",
     "bessel_j0",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
@@ -37,26 +34,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class EvalTolerance:
-    """Stopping control for series and continued-fraction evaluations.
-
-    rel_tol is the target relative truncation error, max_terms the hard
-    budget before SeriesTruncationError is raised.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_TOL = EvalTolerance()
+# incomplete-gamma series and continued fraction: target relative
+# truncation error, and the term budget before SeriesTruncationError
+_GAMMA_REL_TOL = 1e-12
+_GAMMA_MAX_TERMS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +150,29 @@ def _log_bessel_i_scaled_vec(order: float, x: np.ndarray) -> np.ndarray:
 # Incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _gamma_p_series(s: float, x: float, tol: EvalTolerance) -> float:
+def _gamma_p_series(s: float, x: float) -> float:
     # NR 6.2 gser: P(s, x) for x < s + 1
     ap = s
     total = 1.0 / s
     delt = total
-    for _ in range(tol.max_terms):
+    for _ in range(_GAMMA_MAX_TERMS):
         ap += 1.0
         delt *= x / ap
         total += delt
-        if abs(delt) < abs(total) * tol.rel_tol:
+        if abs(delt) < abs(total) * _GAMMA_REL_TOL:
             return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise SeriesTruncationError(
-        f"P({s}, {x}) series exceeded {tol.max_terms} terms", partial=total)
+        f"P({s}, {x}) series exceeded {_GAMMA_MAX_TERMS} terms", partial=total)
 
 
-def _gamma_q_cf(s: float, x: float, tol: EvalTolerance) -> float:
+def _gamma_q_cf(s: float, x: float) -> float:
     # NR 6.2 gcf, modified Lentz: Q(s, x) for x >= s + 1
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_terms + 1):
+    for i in range(1, _GAMMA_MAX_TERMS + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -203,10 +184,11 @@ def _gamma_q_cf(s: float, x: float, tol: EvalTolerance) -> float:
         d = 1.0 / d
         de = d * c
         h *= de
-        if abs(de - 1.0) < tol.rel_tol:
+        if abs(de - 1.0) < _GAMMA_REL_TOL:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise SeriesTruncationError(
-        f"Q({s}, {x}) continued fraction exceeded {tol.max_terms} terms", partial=h)
+        f"Q({s}, {x}) continued fraction exceeded {_GAMMA_MAX_TERMS} terms",
+        partial=h)
 
 
 def _check_gamma_args(s: float, x: float) -> None:
@@ -216,24 +198,24 @@ def _check_gamma_args(s: float, x: float) -> None:
         raise ValueError(f"x must be nonnegative, got {x}")
 
 
-def reg_lower_inc_gamma(s: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
+def reg_lower_inc_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)."""
     _check_gamma_args(s, x)
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
-        return _gamma_p_series(s, x, tol)
-    return 1.0 - _gamma_q_cf(s, x, tol)
+        return _gamma_p_series(s, x)
+    return 1.0 - _gamma_q_cf(s, x)
 
 
-def reg_upper_inc_gamma(s: float, x: float, tol: EvalTolerance = DEFAULT_TOL) -> float:
+def reg_upper_inc_gamma(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
     _check_gamma_args(s, x)
     if x == 0.0:
         return 1.0
     if x < s + 1.0:
-        return 1.0 - _gamma_p_series(s, x, tol)
-    return _gamma_q_cf(s, x, tol)
+        return 1.0 - _gamma_p_series(s, x)
+    return _gamma_q_cf(s, x)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,40 @@ def qfunc_inv_bisect(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Joint CDF of the port envelopes
+# ---------------------------------------------------------------------------
+
+def joint_cdf_chndtr(mu, m: float, power: float, uppers) -> float:
+    """P(R_1 < X_1, ..., R_N < X_N) from noncentral chi^2 conditionals.
+
+    Given the reference envelope x1, port k is m complex Gaussians with
+    mean mu_k times the reference and per-dimension variance
+    (1 - mu_k^2) Omega / 2m, so 2m R_k^2 / ((1 - mu_k^2) Omega) is
+    noncentral chi^2 with 2m degrees of freedom and noncentrality
+    2m mu_k^2 x1^2 / ((1 - mu_k^2) Omega).  The product of scipy's chndtr
+    conditionals is integrated against scipy's Nakagami density of the
+    reference; no Marcum-Q or Poisson-mixture code is involved.
+    """
+    mu2 = np.square(np.asarray(mu, dtype=float))
+    scale = 2.0 * m / ((1.0 - mu2) * power)
+    x_ref = float(uppers[0])
+    others = np.asarray(uppers[1:], dtype=float)
+
+    def integrand(x1: float) -> float:
+        cond = special.chndtr(scale * others * others, 2.0 * m,
+                              scale * mu2 * x1 * x1)
+        return (stats.nakagami.pdf(x1, m, scale=math.sqrt(power))
+                * float(np.prod(cond)))
+
+    # port k's conditional drops from 1 to 0 near x1 = X_k / |mu_k|
+    steps = [x / math.sqrt(v) for x, v in zip(others, mu2)
+             if v > 0.0 and x / math.sqrt(v) < x_ref]
+    val, _ = integrate.quad(integrand, 0.0, x_ref, epsabs=0.0, epsrel=1e-11,
+                            limit=400, points=steps or None)
+    return val
+
+
+# ---------------------------------------------------------------------------
 # Rice-formula crossing rate by importance sampling
 # ---------------------------------------------------------------------------
 

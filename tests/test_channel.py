@@ -239,6 +239,41 @@ def test_max_cdf_monotone_in_threshold():
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
+# (channel, thresholds) where y = m mu^2 x^2 / (s2 (1 - mu^2)) exceeds 300
+# at the upper limit: wide Poisson windows in the Marcum kernel
+_LARGE_Y_CASES = [
+    (FasChannel(n_ports=2, aperture=0.03, nakagami_m=5.0), (1.2, 2.0, 3.0)),
+    (FasChannel(n_ports=4, aperture=0.03, nakagami_m=5.0), (0.5, 1.0)),
+    (FasChannel.with_correlation(2, (1.0 - 1e-4,), nakagami_m=2.0), (0.25,)),
+]
+_LARGE_Y_POINTS = [
+    pytest.param(chan, x, id=f"n{chan.n_ports}-m{chan.nakagami_m:g}-x{x:g}")
+    for chan, xs in _LARGE_Y_CASES for x in xs]
+
+
+def _large_y(chan, x):
+    m = chan.nakagami_m
+    return max(m * mu * mu * x * x / (chan.power * (1.0 - mu * mu))
+               for mu in chan.mu)
+
+
+@pytest.mark.parametrize("chan,x", _LARGE_Y_POINTS)
+def test_max_cdf_large_y_against_chndtr(chan, x):
+    assert _large_y(chan, x) > 300.0
+    want = oracles.joint_cdf_chndtr(chan.mu, chan.nakagami_m, chan.power,
+                                    (x,) * chan.n_ports)
+    assert abs(max_cdf(chan, x) - want) <= 1e-9 + 1e-6 * want
+
+
+@pytest.mark.parametrize("chan,x", _LARGE_Y_POINTS)
+def test_joint_cdf_large_y_against_chndtr(chan, x):
+    upper = tuple(x * f for f in (1.0, 0.8, 1.1, 0.9)[:chan.n_ports])
+    assert _large_y(chan, upper[0]) > 300.0
+    want = oracles.joint_cdf_chndtr(chan.mu, chan.nakagami_m, chan.power,
+                                    upper)
+    assert abs(joint_cdf(chan, upper) - want) <= 1e-9 + 1e-6 * want
+
+
 def test_max_cdf_rejects_degenerate_and_negative():
     with pytest.raises(ValueError):
         max_cdf(FasChannel(n_ports=2, aperture=0.0, nakagami_m=1.0), 0.5)

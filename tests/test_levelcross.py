@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fasdep import levelcross
 from fasdep.channel import FasChannel, max_cdf
 from fasdep.levelcross import (
     CrossingContext,
@@ -183,6 +184,20 @@ def test_cycle_time_partition(n, w, m, x):
     """AFD + ANFD must account for the full mean recurrence time 1/LCR."""
     ctx = _ctx(n=n, w=w, m=m, x=x)
     assert afd(ctx) + anfd(ctx) == pytest.approx(1.0 / lcr(ctx), rel=1e-12)
+
+
+def test_anfd_computes_crossing_rate_once(monkeypatch):
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return lcr(ctx)
+
+    ctx = _ctx(n=3, w=0.3, m=2.0, x=1.0)
+    want = 1.0 / lcr(ctx) - afd(ctx)
+    monkeypatch.setattr(levelcross, "lcr", counted)
+    assert anfd(ctx) == want
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n,w,m,x", [
