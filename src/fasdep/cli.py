@@ -24,8 +24,7 @@ import numpy as np
 from . import qos
 from .channel import FasChannel, bivariate_cdf_series, joint_cdf, max_cdf
 from .dependability import FblLink, fbl_threshold_eta, fbl_threshold_trace
-from .errors import FasdepError, NoCrossingError, QuadratureError, \
-    SeriesTruncationError
+from .errors import FasdepError
 from .levelcross import CrossingContext, _fade_durations, afd, anfd, \
     failure_repair_rates, lcr, lcr_iid, lcr_two_port_series, normalized_lcr
 from .mcsim import SimConfig, generate_fading, scan_crossings
@@ -40,7 +39,6 @@ EXIT_INFEASIBLE = 3
 
 _COMMANDS = ("lcr", "afd", "reliability", "mec", "meee", "optimize",
              "simulate", "figure", "validate")
-_FIG_PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 
 class SpecError(Exception):
@@ -878,18 +876,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpecError as exc:
         print(f"fasdep: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (QuadratureError, SeriesTruncationError, NoCrossingError) as exc:
+    except (FasdepError, OverflowError) as exc:
         print(f"fasdep: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FasdepError as exc:
-        print(f"fasdep: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError) as exc:
         print(f"fasdep: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except OverflowError as exc:
-        print(f"fasdep: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@
 The inner search contracts the bracket by the literal factor 0.618 per
 iteration and stops on relative width 2(ub-lb)/(ub+lb).  The outer loop
 maximizes F(x, kappa) = f1(x) - kappa f2(x), updates kappa to the ratio at
-the inner maximizer, and stops once |F| falls below the residual tolerance;
+the inner maximizer, and stops once |F| drops below the residual tolerance;
 the kappa iterates are non-decreasing by construction.
 
-A reliability-style constraint g(x) >= level is handled by clipping the
-search interval to the feasible side, located by bisection under a
-monotonicity check of g on a coarse grid; if g turns out non-monotone the
-code falls back to penalizing infeasible points with a huge negative
-objective value.
+A reliability-style constraint g(x) >= level must be non-decreasing in x,
+as mission reliability is in the operating SNR, so the search interval is
+clipped to an upper interval: g is probed on a coarse grid and the lower end
+bisected between the last infeasible and the first feasible probe.  A grid
+on which g drops back below the level after a feasible probe raises.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _GOLDEN = 0.618          # contraction ratio, kept literal
-_PENALTY = -1e300        # finite stand-in for -inf so the search can proceed
 _MAX_INNER_ITERS = 400
 
 
@@ -109,54 +108,41 @@ def golden_section_max(f: Callable[[float], float], lb: float, ub: float,
     return x, checked(x)
 
 
-def _clip_feasible(g: Callable[[float], float], level: float,
-                   lb: float, ub: float):
-    """Restrict [lb, ub] to {g >= level}; returns (lb, ub, feasible, penalize).
+def _feasible_lower_end(g: Callable[[float], float], level: float,
+                        lb: float, ub: float) -> Optional[float]:
+    """Lower end of {g >= level} in [lb, ub] for non-decreasing g.
 
-    g is probed on a coarse grid (geometric when lb > 0).  If the
-    feasibility pattern is one-sided, the boundary is bisected to locate
-    the feasible sub-interval; otherwise the caller must penalize.
+    g is probed on a coarse grid (geometric when lb > 0) and the boundary
+    bisected between the first feasible probe and its infeasible neighbour.
+    Returns None when no probe is feasible.
     """
     n_probe = 17
     if lb > 0.0:
         probes = [lb * (ub / lb) ** (i / (n_probe - 1)) for i in range(n_probe)]
-        mid = lambda a, b: math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
+        mid = lambda a, b: math.sqrt(a * b)
     else:
         probes = [lb + (ub - lb) * i / (n_probe - 1) for i in range(n_probe)]
         mid = lambda a, b: 0.5 * (a + b)
     feas = [g(x) >= level for x in probes]
 
-    if not any(feas):
-        return lb, ub, False, False
-    if all(feas):
-        return lb, ub, True, False
-
-    rises = feas[0] is False and all(
-        not (feas[i] and not feas[i + 1]) for i in range(n_probe - 1))
-    falls = feas[0] is True and all(
-        not (not feas[i] and feas[i + 1]) for i in range(n_probe - 1))
-    if rises:
-        i = max(j for j in range(n_probe) if not feas[j])
-        bad, good = probes[i], probes[i + 1]
-        for _ in range(48):
-            m = mid(bad, good)
-            if g(m) >= level:
-                good = m
-            else:
-                bad = m
-        return good, ub, True, False
-    if falls:
-        i = min(j for j in range(n_probe) if not feas[j])
-        good, bad = probes[i - 1], probes[i]
-        for _ in range(48):
-            m = mid(good, bad)
-            if g(m) >= level:
-                good = m
-            else:
-                bad = m
-        return lb, good, True, False
-    # feasible set not an interval on this grid: penalty fallback
-    return lb, ub, True, True
+    first = next((i for i in range(n_probe) if feas[i]), None)
+    if first is None:
+        return None
+    for j in range(first + 1, n_probe):
+        if not feas[j]:
+            raise ValueError(
+                f"constraint is not non-decreasing: g >= {level} at "
+                f"x={probes[first]} but not at x={probes[j]}")
+    if first == 0:
+        return lb
+    bad, good = probes[first - 1], probes[first]
+    for _ in range(48):
+        m = mid(bad, good)
+        if g(m) >= level:
+            good = m
+        else:
+            bad = m
+    return good
 
 
 def dinkelbach_maximize(f1: Callable[[float], float],
@@ -166,38 +152,25 @@ def dinkelbach_maximize(f1: Callable[[float], float],
                         level: float = 0.0) -> OptResult:
     """Maximize f1(x)/f2(x) on [cfg.lb, cfg.ub] subject to g(x) >= level.
 
-    f2 must stay positive on the interval.  kappa starts at 0; each outer
-    iteration solves the parametric problem by golden section and checks
-    the residual |f1 - kappa f2| at the inner maximizer before updating.
+    f2 must stay positive on the interval and g must be non-decreasing.
+    kappa starts at 0; each outer iteration solves the parametric problem
+    by golden section and checks the residual |f1 - kappa f2| at the inner
+    maximizer before updating.
     """
     cfg = cfg if cfg is not None else DinkelbachConfig()
     lb, ub = cfg.lb, cfg.ub
-    penalize = False
-    g_cache: dict = {}
-
-    def g(x: float) -> float:
-        if x not in g_cache:
-            g_cache[x] = constraint(x)
-        return g_cache[x]
-
     if constraint is not None:
-        lb, ub, feasible, penalize = _clip_feasible(g, level, lb, ub)
-        if not feasible:
+        lb = _feasible_lower_end(constraint, level, lb, ub)
+        if lb is None:
             return OptResult(phi_star=math.nan, value_star=math.nan,
                              kappa_trace=(0.0,), feasible=False)
 
     kappas = [0.0]
-    x_star = None
     converged = False
     for _ in range(cfg.max_outer_iters):
         kappa = kappas[-1]
-
-        def param_obj(x: float, _k=kappa) -> float:
-            if penalize and g(x) < level:
-                return _PENALTY
-            return f1(x) - _k * f2(x)
-
-        x_star, f_star = golden_section_max(param_obj, lb, ub, cfg.inner_tol)
+        x_star, f_star = golden_section_max(
+            lambda x, _k=kappa: f1(x) - _k * f2(x), lb, ub, cfg.inner_tol)
         if abs(f_star) <= cfg.outer_tol:
             converged = True
             break
@@ -205,13 +178,6 @@ def dinkelbach_maximize(f1: Callable[[float], float],
         if not den > 0.0:
             raise ValueError(f"denominator nonpositive ({den}) at x={x_star}")
         kappas.append(max(kappa, f1(x_star) / den))
-
-    if penalize and g(x_star) < level:
-        # midpoint straddled the boundary; fall back to the best feasible probe
-        candidates = [x for x in g_cache if g_cache[x] >= level and lb <= x <= ub]
-        if not candidates:
-            return OptResult(math.nan, math.nan, tuple(kappas), False, converged)
-        x_star = max(candidates, key=lambda x: f1(x) / f2(x))
 
     value = f1(x_star) / f2(x_star)
     return OptResult(phi_star=x_star, value_star=value,

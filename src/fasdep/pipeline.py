@@ -18,6 +18,7 @@ from their home modules; this class only wires and caches them.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -119,13 +120,20 @@ def optimize_meee(system: MissionSystem, profile: QosProfile,
 
     The ratio is evaluate's mEC over its power, so the optimizer sees the
     same numbers a sweep prints.  The constraint needs only R_M, so the
-    feasibility probes never reach the power model.
+    feasibility probes never reach the power model.  The power model's
+    regime warning is silenced during the search and raised, if at all,
+    once for the reported point.
     """
 
     def point(phi: float) -> MissionPoint:
         return system.evaluate(phi, profile, mission_duration, rmax_mode)
 
-    return dinkelbach_maximize(
-        lambda phi: point(phi).mec, lambda phi: point(phi).power, cfg=cfg,
-        constraint=lambda phi: system.reliability(phi, mission_duration),
-        level=min_reliability)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "idle power", RuntimeWarning)
+        res = dinkelbach_maximize(
+            lambda phi: point(phi).mec, lambda phi: point(phi).power, cfg=cfg,
+            constraint=lambda phi: system.reliability(phi, mission_duration),
+            level=min_reliability)
+    if res.feasible:
+        point(res.phi_star)
+    return res

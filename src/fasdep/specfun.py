@@ -281,13 +281,8 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float) -> np.ndarray:
         ptab = np.array([p0])
 
     ks = np.arange(k_lo, k_hi + 1)
-    if k_lo == 0:
-        lg_k = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1, k_hi + 1, dtype=np.longdouble)))))
-        lg_k = lg_k.astype(float)
-    else:
-        lg_k = math.lgamma(k_lo + 1.0) + np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(k_lo + 1, k_hi + 1, dtype=np.longdouble))))).astype(float)
+    lg_k = math.lgamma(k_lo + 1.0) + np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(k_lo + 1, k_hi + 1, dtype=np.longdouble))))).astype(float)
     lw = (-yp[:, None] + ks[None, :] * np.log(yp)[:, None]) - lg_k[None, :]
     w = np.exp(lw)
     vals = w @ ptab

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import fasdep
+from fasdep import cli
 from fasdep.cli import main
+from fasdep.errors import NoCrossingError, QuadratureError, \
+    SeriesTruncationError
 
 CHEAP = ("--set", "channel.n_ports=2", "--set", "channel.aperture=0.5")
 
@@ -184,6 +187,22 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = _run(capsys, "lcr", "--set", "channel.n_ports=0",
                         "--sweep", "threshold:1:1:1")
     assert code == 1 and "channel" in err
+
+
+@pytest.mark.parametrize("exc", [
+    QuadratureError("budget exhausted", 1.0, 0.5),
+    SeriesTruncationError("budget exhausted"),
+    NoCrossingError("budget exhausted"),
+    OverflowError("budget exhausted"),
+], ids=lambda e: type(e).__name__)
+def test_numerical_failures_exit_2(capsys, monkeypatch, exc):
+    def fail(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "_run_crossing", fail)
+    code, out, err = _run(capsys, "lcr")
+    assert code == 2 and out == ""
+    assert err == "fasdep: numerical failure: budget exhausted\n"
 
 
 # ---------------------------------------------------------------------------

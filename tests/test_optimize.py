@@ -138,6 +138,29 @@ def test_infeasible_interval_reported_not_raised():
     assert res.kappa_trace == (0.0,)
 
 
+def test_decreasing_constraint_is_refused():
+    """g(x) = -x >= -3 holds on [0, 3]: feasible first, infeasible after.
+
+    The probe grid 0, 0.625, ..., 10 is feasible at 0 and first fails at
+    3.125; the error names both instead of solving on the lower interval.
+    """
+    with pytest.raises(ValueError, match=r"x=0\.0 but not at x=3\.125"):
+        dinkelbach_maximize(lambda x: math.log1p(x), lambda x: 1.0 + x,
+                            cfg=_benchmark_cfg(),
+                            constraint=lambda x: -x, level=-3.0)
+
+
+def test_non_interval_constraint_is_refused():
+    """sin(x) >= 0.5 holds on two disjoint pieces of [0, 10].
+
+    The first feasible probe is 0.625 and the next infeasible one 3.125.
+    """
+    with pytest.raises(ValueError, match=r"x=0\.625 but not at x=3\.125"):
+        dinkelbach_maximize(lambda x: math.log1p(x), lambda x: 1.0 + x,
+                            cfg=_benchmark_cfg(),
+                            constraint=math.sin, level=0.5)
+
+
 def test_nonpositive_denominator_is_loud():
     with pytest.raises(ValueError, match="denominator"):
         dinkelbach_maximize(lambda x: 1.0, lambda x: -1.0,

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fasdep import qos
 from fasdep.channel import FasChannel
@@ -146,6 +147,44 @@ def test_optimize_meee_infeasible_floor():
     assert caught == []
     assert not res.feasible
     assert math.isnan(res.phi_star)
+
+
+def test_optimize_meee_warns_once_at_reported_point():
+    """One port, frozen threshold, loose floor: the solve lands at the lower
+    bound Phi = 0.01, where drain 0.002 is below idle 0.03.  The search
+    probes many Phi in that regime, but only the reported point warns."""
+    chan = FasChannel(n_ports=1, aperture=0.3, nakagami_m=2.0)
+    link = FblLink(blocklength=1000, error_target=1e-2, rate=0.1, avg_snr=10.0)
+    sys_ = MissionSystem(chan, doppler_hz=10.0, link=link,
+                         threshold_mode="sqrt_eta")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = optimize_meee(sys_, PROFILE, mission_duration=0.01,
+                            min_reliability=0.1)
+    assert res.feasible
+    assert res.phi_star == pytest.approx(0.01, rel=1e-4)
+    power = [w for w in caught if issubclass(w.category, RuntimeWarning)
+             and "idle power" in str(w.message)]
+    assert len(power) == 1 and len(caught) == 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 8]),
+       spacing=st.floats(0.01, 0.5),
+       m=st.sampled_from([0.5, 1.0, 2.0, 3.5, 5.0]),
+       delta_t=st.floats(0.1, 50.0),
+       phi1_db=st.floats(-20.0, 40.0),
+       step_db=st.floats(0.05, 20.0))
+def test_reliability_non_decreasing_in_snr(n, spacing, m, delta_t, phi1_db,
+                                           step_db):
+    """R_M = exp(-DeltaT Upsilon(rho)) with rho = sqrt(eta/Phi) must not
+    fall as Phi rises; the optimizer's feasibility rule relies on it.
+    The 1e-12 slack absorbs quadrature noise on values near 1."""
+    sys_ = _system(n=n, w=spacing * max(n - 1, 1), m=m)
+    phi1 = 10.0 ** (phi1_db / 10.0)
+    phi2 = 10.0 ** ((phi1_db + step_db) / 10.0)
+    assert sys_.reliability(phi1, delta_t) <= \
+        sys_.reliability(phi2, delta_t) + 1e-12
 
 
 def test_paper_rmax_mode_through_pipeline():
