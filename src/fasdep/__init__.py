@@ -11,7 +11,7 @@ cli the experiment runner.
 
 from .channel import (FasChannel, bivariate_cdf_series, joint_cdf,
                       marginal_cdf, marginal_pdf, max_cdf,
-                      spatial_correlation)
+                      max_cdf_and_survival, spatial_correlation)
 from .dependability import (FblLink, decision_threshold_rho,
                             fbl_threshold_eta, fbl_threshold_trace,
                             mission_reliability, mttff)
@@ -34,7 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FasChannel", "spatial_correlation", "joint_cdf", "max_cdf",
-    "bivariate_cdf_series", "marginal_pdf", "marginal_cdf",
+    "max_cdf_and_survival", "bivariate_cdf_series", "marginal_pdf",
+    "marginal_cdf",
     "CrossingContext", "RatePair", "lcr", "normalized_lcr", "lcr_iid",
     "lcr_two_port_series", "afd", "anfd", "failure_repair_rates",
     "FblLink", "fbl_threshold_eta", "fbl_threshold_trace",

@@ -32,6 +32,7 @@ __all__ = [
     "spatial_correlation",
     "joint_cdf",
     "max_cdf",
+    "max_cdf_and_survival",
     "bivariate_cdf_series",
     "marginal_pdf",
     "marginal_cdf",
@@ -126,7 +127,7 @@ def marginal_pdf(chan: FasChannel, x: float) -> float:
         # x^(2m-1) limit: zero unless the exponent hits 0 at m = 1/2
         if m > 0.5:
             return 0.0
-        return 2.0 * math.sqrt(m / chan.power) / math.gamma(m) * math.exp(0.0)
+        return 2.0 * math.sqrt(m / chan.power) / math.gamma(m)
     return math.exp(_log_marginal_pdf(m, chan.power, x))
 
 
@@ -154,12 +155,13 @@ def marginal_cdf(chan: FasChannel, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _conditional_cdfs(chan: FasChannel, uppers: Sequence[float],
-                      x1: np.ndarray) -> np.ndarray:
+                      x1: np.ndarray, complement: bool = False) -> np.ndarray:
     """Rows F_k(x1) = 1 - Q_m(c_k x1, d_k X_k) for ports k = 2..N.
 
     F_k is the conditional probability that port k sits below X_k =
     uppers[k-2] given the reference envelope x1, with
     c_k^2 = 2 m mu_k^2 / (s2 (1 - mu_k^2)) and d_k^2 = 2 m / (s2 (1 - mu_k^2)).
+    With complement=True the rows are the Marcum tails 1 - F_k instead.
     Returns an (N-1, len(x1)) array; callers reject |mu_k| = 1.
     """
     m = chan.nakagami_m
@@ -170,7 +172,8 @@ def _conditional_cdfs(chan: FasChannel, uppers: Sequence[float],
         one_minus = 1.0 - mu_k * mu_k
         y_scale = m * mu_k * mu_k / (s2 * one_minus)
         z = m * upper * upper / (s2 * one_minus)
-        row[:] = specfun._one_minus_marcum_q_fixed_b(m, y_scale * x1_sq, z)
+        row[:] = specfun._one_minus_marcum_q_fixed_b(m, y_scale * x1_sq, z,
+                                                     complement)
     return rows
 
 
@@ -178,8 +181,15 @@ def _conditional_cdfs(chan: FasChannel, uppers: Sequence[float],
 # Joint statistics
 # ---------------------------------------------------------------------------
 
-def _cdf_quad(chan: FasChannel, x1_hi: float, uppers: Sequence[float]) -> float:
-    """Common quadrature core: integral of marginal(x1) * prod_k F_k(x1)."""
+def _cdf_quad(chan: FasChannel, x1_hi: float, uppers: Sequence[float],
+              complement: bool = False) -> float:
+    """Common quadrature core: integral of marginal(x1) * prod_k F_k(x1).
+
+    complement=True returns 1 minus it as Q(m, m x1_hi^2/s2) plus the
+    integral of marginal(x1) * (1 - prod_k F_k(x1)), formed from the Marcum
+    tails and run to a relative tolerance only, so that it stays accurate
+    far below the CDF's absolute tolerance.
+    """
     m = chan.nakagami_m
     s2 = chan.power
 
@@ -188,6 +198,9 @@ def _cdf_quad(chan: FasChannel, x1_hi: float, uppers: Sequence[float]) -> float:
         safe = np.maximum(x1, 1e-300)
         lead = np.exp(_log_marginal_pdf_vec(m, s2, safe))
         lead[x1 <= 0.0] = marginal_pdf(chan, 0.0)
+        if complement:
+            tails = _conditional_cdfs(chan, uppers, x1, complement=True)
+            return lead * -np.expm1(np.log1p(-tails).sum(axis=0))
         return lead * _conditional_cdfs(chan, uppers, x1).prod(axis=0)
 
     # seed the mesh around the marginal mode so a single wide segment
@@ -195,9 +208,13 @@ def _cdf_quad(chan: FasChannel, x1_hi: float, uppers: Sequence[float]) -> float:
     peak = math.sqrt(s2 * max(2.0 * m - 1.0, 0.1) / (2.0 * m))
     seeds = [f * peak for f in (0.5, 1.0, 1.5, 2.5)] + [0.5 * x1_hi]
     res = adaptive_gk(integrand, 0.0, x1_hi,
-                      abs_tol=_CDF_ABS_TOL, rel_tol=_CDF_REL_TOL,
-                      max_subdiv=_CDF_MAX_SUBDIV, points=seeds)
-    return min(max(res.value, 0.0), 1.0)
+                      abs_tol=0.0 if complement else _CDF_ABS_TOL,
+                      rel_tol=_CDF_REL_TOL, max_subdiv=_CDF_MAX_SUBDIV,
+                      points=seeds)
+    value = max(res.value, 0.0)
+    if complement:
+        value += specfun.reg_upper_inc_gamma(m, m * x1_hi * x1_hi / s2)
+    return min(value, 1.0)
 
 
 def joint_cdf(chan: FasChannel, upper: Sequence[float]) -> float:
@@ -216,18 +233,34 @@ def joint_cdf(chan: FasChannel, upper: Sequence[float]) -> float:
     return _cdf_quad(chan, ups[0], ups[1:])
 
 
-def max_cdf(chan: FasChannel, x_th: float) -> float:
-    """CDF of the selected (best-port) envelope, evaluated at x_th."""
+def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
+    """CDF of the selected (best-port) envelope at x_th, and 1 minus it.
+
+    The smaller side is computed and the other taken as 1 minus it; above
+    the median that is the survival, accurate deep into the tail.
+    """
     if x_th < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {x_th}")
     if x_th == 0.0:
-        return 0.0
+        return 0.0, 1.0
+    m = chan.nakagami_m
     if chan.n_ports == 1:
-        return marginal_cdf(chan, x_th)
+        z = m * x_th * x_th / chan.power
+        return specfun.reg_lower_inc_gamma(m, z), specfun.reg_upper_inc_gamma(m, z)
     if chan.degenerate_ports():
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
     x_th = float(x_th)
-    return _cdf_quad(chan, x_th, (x_th,) * len(chan.mu))
+    uppers = (x_th,) * len(chan.mu)
+    cdf = _cdf_quad(chan, x_th, uppers)
+    if cdf <= 0.5:
+        return cdf, 1.0 - cdf
+    survival = _cdf_quad(chan, x_th, uppers, complement=True)
+    return 1.0 - survival, survival
+
+
+def max_cdf(chan: FasChannel, x_th: float) -> float:
+    """CDF of the selected (best-port) envelope, evaluated at x_th."""
+    return max_cdf_and_survival(chan, x_th)[0]
 
 
 def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float) -> float:

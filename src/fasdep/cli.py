@@ -25,8 +25,8 @@ from . import qos
 from .channel import FasChannel, bivariate_cdf_series, joint_cdf, max_cdf
 from .dependability import FblLink, fbl_threshold_eta, fbl_threshold_trace
 from .errors import FasdepError
-from .levelcross import CrossingContext, _fade_durations, afd, anfd, \
-    failure_repair_rates, lcr, lcr_iid, lcr_two_port_series, normalized_lcr
+from .levelcross import CrossingContext, _fade_durations, afd, anfd, lcr, \
+    lcr_iid, lcr_two_port_series, normalized_lcr
 from .mcsim import SimConfig, generate_fading, scan_crossings
 from .optimize import DinkelbachConfig, dinkelbach_maximize
 from .pipeline import MissionSystem, optimize_meee
@@ -330,7 +330,7 @@ def _sweep_label(spec: ExperimentSpec) -> str:
     return spec.sweep.var
 
 
-def _resolve_threshold(spec: ExperimentSpec, p: RunParams, phi: float,
+def _resolve_threshold(p: RunParams, phi: float,
                        system: Optional[MissionSystem]) -> float:
     if p.threshold is not None:
         return p.threshold
@@ -363,16 +363,14 @@ def _run_crossing(spec: ExperimentSpec) -> ResultSet:
     for v, p, phi in _sweep_params(spec):
         needs_link = p.threshold is None
         system = _fresh_system(spec, p, phi, cache) if needs_link else None
-        th = _resolve_threshold(spec, p, phi, system)
-        chan = _channel_of(p)
-        rate = lcr(CrossingContext(chan, p.doppler, th))
+        th = _resolve_threshold(p, phi, system)
+        ctx = CrossingContext(_channel_of(p), p.doppler, th)
         if spec.command == "lcr":
+            rate = lcr(ctx)
             rows.append([v if v is not None else phi, th, rate,
                          rate / p.doppler])
         else:
-            # levelcross.afd and anfd, sharing one crossing rate and CDF
-            cdf = max_cdf(chan, th)
-            fade, non_fade = _fade_durations(th, cdf, rate)
+            fade, non_fade, cdf, rate = _fade_durations(ctx)
             rows.append([v if v is not None else phi, th, fade, non_fade,
                          cdf, rate])
     columns = ([label, "threshold", "lcr", "nlcr"] if spec.command == "lcr"
@@ -452,7 +450,7 @@ def _run_simulate(spec: ExperimentSpec) -> ResultSet:
     for v, p, phi in points:
         needs_link = p.threshold is None
         system = _fresh_system(spec, p, phi, cache) if needs_link else None
-        thresholds.append(_resolve_threshold(spec, p, phi, system))
+        thresholds.append(_resolve_threshold(p, phi, system))
 
     p0 = points[0][1]
     chan = _channel_of(p0)
@@ -639,8 +637,6 @@ def _run_figure(spec: ExperimentSpec) -> ResultSet:
 
 def _validate_checks(preset: str, seed: int):
     """Yield (name, passed, detail) tuples for the chosen preset."""
-    from . import specfun
-
     # corollary consistency at near-zero correlation
     worst = 0.0
     for m in (1.0, 2.0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .channel import (FasChannel, _conditional_cdfs, _logaddexp,
-                      marginal_pdf, max_cdf)
+                      marginal_pdf, max_cdf_and_survival)
 from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_gk
 
@@ -37,10 +37,6 @@ __all__ = [
     "anfd",
     "failure_repair_rates",
 ]
-
-
-# below this, 1 - max_cdf is quadrature noise; switch to the stable tail bound
-_COMPLEMENT_TRUST = 1e-7
 
 
 @dataclass(frozen=True)
@@ -223,63 +219,40 @@ def lcr_two_port_series(ctx: CrossingContext,
     return ctx.doppler_hz * math.exp(lead + total)
 
 
-def _fade_durations(threshold: float, cdf: float,
-                    rate: float) -> tuple[float, float]:
-    """(AFD, ANFD) from the CDF and the crossing rate at one threshold.
+def _fade_durations(ctx: CrossingContext) -> tuple[float, float, float, float]:
+    """(AFD, ANFD, CDF, LCR) of the selected envelope at the threshold.
 
-    AFD = CDF/LCR and ANFD = 1/LCR - AFD.  Where the crossing rate
-    underflows to 0, the convention of failure_repair_rates holds: above
-    the median of the selected envelope the link stays down (AFD inf,
-    ANFD 0), below it it never fades (AFD 0, ANFD inf).
+    AFD = CDF/LCR and ANFD = (1 - CDF)/LCR, with CDF and 1 - CDF from
+    max_cdf_and_survival.  Where no crossing is counted, at x_th = 0 or
+    where the crossing rate underflows to 0, the envelope stays on one
+    side: above the median of the selected envelope the link stays down
+    (AFD inf, ANFD 0), below it it never fades (AFD 0, ANFD inf).
     """
-    if rate == 0.0:
-        return (math.inf, 0.0) if cdf > 0.5 else (0.0, math.inf)
-    fade = cdf / rate if threshold > 0.0 else 0.0
-    return fade, 1.0 / rate - fade
+    cdf, survival = max_cdf_and_survival(ctx.channel, ctx.threshold)
+    rate = lcr(ctx)
+    if rate > 0.0 and ctx.threshold > 0.0:
+        return cdf / rate, survival / rate, cdf, rate
+    return ((math.inf, 0.0) if cdf > 0.5 else (0.0, math.inf)) + (cdf, rate)
 
 
 def afd(ctx: CrossingContext) -> float:
     """Average fade duration: time below threshold per down-crossing, seconds."""
-    return _fade_durations(ctx.threshold, max_cdf(ctx.channel, ctx.threshold),
-                           lcr(ctx))[0]
+    return _fade_durations(ctx)[0]
 
 
 def anfd(ctx: CrossingContext) -> float:
-    """Average non-fade duration 1/LCR - AFD, seconds (0 where AFD is inf)."""
-    return _fade_durations(ctx.threshold, max_cdf(ctx.channel, ctx.threshold),
-                           lcr(ctx))[1]
+    """Average non-fade duration (1 - CDF)/LCR, seconds (0 where AFD is inf)."""
+    return _fade_durations(ctx)[1]
 
 
 def failure_repair_rates(ctx: CrossingContext) -> RatePair:
     """Outage birth/death rates: Upsilon = 1/ANFD and beta = 1/AFD.
 
-    At x_th = 0 the envelope never fades, so Upsilon = 0 and beta is
-    reported as inf.  Far from the envelope scale the crossing rate
-    underflows to 0: above the median of the selected envelope the link is
-    then down almost surely and never repairs, reported as Upsilon = inf
-    and beta = 0; below it the link never fails, as at x_th = 0.
-
-    Deep in the upper tail the CDF quadrature cannot resolve 1 - CDF
-    (absolute tolerance ~1e-10), so below a trust floor the complement is
-    replaced by the single-port survival Q(m, m x^2 / sigma^2).  The true
-    complement of the port maximum lies between that and N times it, so
-    Upsilon is overstated by at most the port count, only in regimes where
-    the mission is lost regardless.
+    Where no crossing is counted (see _fade_durations), a link that never
+    fades has Upsilon = 0 and beta = inf, and one that stays down has
+    Upsilon = inf and beta = 0.
     """
-    if ctx.threshold == 0.0:
-        return RatePair(0.0, math.inf)
-    rate = lcr(ctx)
-    chan = ctx.channel
-    cdf = max_cdf(chan, ctx.threshold)
-    if rate == 0.0:
-        return RatePair(math.inf, 0.0) if cdf > 0.5 else RatePair(0.0, math.inf)
-    survival = specfun.reg_upper_inc_gamma(
-        chan.nakagami_m,
-        chan.nakagami_m * ctx.threshold ** 2 / chan.power)
-    comp = 1.0 - cdf
-    comp = survival if comp < _COMPLEMENT_TRUST else max(comp, survival)
-    down = cdf / rate
-    up = comp / rate
+    fade, non_fade, _, _ = _fade_durations(ctx)
     return RatePair(
-        failure_rate=1.0 / up if up > 0.0 else math.inf,
-        repair_rate=1.0 / down if down > 0.0 else math.inf)
+        failure_rate=1.0 / non_fade if non_fade > 0.0 else math.inf,
+        repair_rate=1.0 / fade if fade > 0.0 else math.inf)

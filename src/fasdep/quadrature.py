@@ -158,11 +158,3 @@ def adaptive_gk(
         f"no convergence within {max_subdiv} segments: "
         f"estimate {total:.12e}, error bound {tot_err:.3e}",
         estimate=total, error=tot_err)
-
-
-if __name__ == "__main__":
-    import math
-
-    r = adaptive_gk(lambda x: np.exp(-x * x), 0.0, 10.0)
-    assert abs(r.value - 0.5 * math.sqrt(math.pi)) < 1e-12, r
-    print("quadrature self-check passed:", r)

@@ -10,7 +10,7 @@ the test suite.  The inventory is exactly what the model needs:
 
 and two private array kernels the quadrature integrands call:
 ``_log_bessel_i_scaled_vec`` (conditional envelope densities) and
-``_one_minus_marcum_q_fixed_b`` (conditional envelope CDFs, 1 - Marcum Q).
+``_one_minus_marcum_q_fixed_b`` (conditional envelope CDFs 1 - Marcum Q, or Q).
 
 Math references in comments use standard handbook numbering (DLMF ch. 10,
 Numerical Recipes ch. 6).
@@ -222,7 +222,8 @@ def reg_upper_inc_gamma(s: float, x: float) -> float:
 # Marcum Q
 # ---------------------------------------------------------------------------
 
-def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float) -> np.ndarray:
+def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
+                                complement: bool = False) -> np.ndarray:
     """Vectorized 1 - Q_order(sqrt(2 y), sqrt(2 z)) for array y, scalar z.
 
     This is the shape every distribution and crossing-rate integrand needs:
@@ -233,59 +234,68 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float) -> np.nda
         1 - Q = sum_k pois(k; y) P(order + k, z),
 
     over a window wide enough that the discarded Poisson mass is ~1e-14.
-    Rows are processed in sorted chunks so the window tracks the local y
-    range instead of the global one.
+    complement=True mixes the upper table Q(order + k, z) and returns Q
+    itself, accurate where 1 - (1 - Q) rounds to 0; against that rising
+    table the terms peak near k = sqrt(y z), not y, when y < z, so the
+    window centres on max(y, sqrt(y z)).  Rows run in sorted chunks of at
+    most 128 whose centres span a few Poisson widths, so the window and
+    the weight matrix track the local range.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be one-dimensional")
     out = np.empty_like(y)
     if z <= 0.0:
-        out.fill(0.0)
+        out.fill(1.0 if complement else 0.0)
         return out
     zero = y <= 0.0
     if zero.any():
-        out[zero] = reg_lower_inc_gamma(order, z)
+        gamma = reg_upper_inc_gamma if complement else reg_lower_inc_gamma
+        out[zero] = gamma(order, z)
     idx = np.nonzero(~zero)[0]
-    if idx.size == 0:
-        return out
     order_of = idx[np.argsort(y[idx])]
-    for lo in range(0, order_of.size, 128):
-        rows = order_of[lo:lo + 128]
-        out[rows] = _poisson_mix_chunk(order, y[rows], z)
+    centre = y[order_of]
+    if complement:
+        centre = np.maximum(centre, np.sqrt(centre * z))
+    lo = 0
+    while lo < centre.size:
+        span_end = centre[lo] + 32.0 * math.sqrt(centre[lo]) + 100.0
+        hi = min(lo + 128, int(np.searchsorted(centre, span_end, side="right")))
+        rows = order_of[lo:hi]
+        out[rows] = _poisson_mix_chunk(order, y[rows], z, float(centre[lo]),
+                                       float(centre[hi - 1]), complement)
+        lo = hi
     return out
 
 
-def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float) -> np.ndarray:
-    ymin = float(yp.min())
-    ymax = float(yp.max())
-    spread = 8.0 * math.sqrt(ymax) + 25.0
-    k_lo = max(0, int(math.floor(ymin - spread)))
-    k_hi = int(math.ceil(ymax + spread))
+def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
+                       c_hi: float, complement: bool) -> np.ndarray:
+    spread = 8.0 * math.sqrt(c_hi) + 25.0
+    k_lo = max(0, int(math.floor(c_lo - spread)))
+    k_hi = int(math.ceil(c_hi + spread))
     n = k_hi - k_lo + 1
 
     # P(order + k, z) for k = k_lo..k_hi by the downward identity
-    # P(s+1, z) = P(s, z) - z^s e^-z / Gamma(s+1).  lgamma prefix sums run
-    # in extended precision; plain float64 cumsum error would be visible
-    # at window lengths in the thousands.
+    # P(s+1, z) = P(s, z) - z^s e^-z / Gamma(s+1), or Q(order + k, z) by
+    # the upward Q(s+1, z) = Q(s, z) + z^s e^-z / Gamma(s+1).  lgamma prefix
+    # sums run in extended precision; plain float64 cumsum error would be
+    # visible at window lengths in the thousands.
     s0 = order + k_lo
-    p0 = reg_lower_inc_gamma(s0, z)
-    if n > 1:
-        j = np.arange(n - 1)
-        lgam = math.lgamma(s0 + 1.0) + np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1, n - 1, dtype=np.longdouble) + s0))))
-        dec = np.exp(((s0 + j) * math.log(z) - z - lgam).astype(float))
-        ptab = p0 - np.concatenate(([0.0], np.cumsum(dec)))
-        np.clip(ptab, 0.0, 1.0, out=ptab)
-    else:
-        ptab = np.array([p0])
+    j = np.arange(n - 1)
+    lgam = math.lgamma(s0 + 1.0) + np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(1, n - 1, dtype=np.longdouble) + s0))))
+    dec = np.concatenate(([0.0], np.cumsum(
+        np.exp(((s0 + j) * math.log(z) - z - lgam).astype(float)))))
+    tab = (reg_upper_inc_gamma(s0, z) + dec if complement
+           else reg_lower_inc_gamma(s0, z) - dec)
+    np.clip(tab, 0.0, 1.0, out=tab)
 
     ks = np.arange(k_lo, k_hi + 1)
     lg_k = math.lgamma(k_lo + 1.0) + np.concatenate(
         ([0.0], np.cumsum(np.log(np.arange(k_lo + 1, k_hi + 1, dtype=np.longdouble))))).astype(float)
     lw = (-yp[:, None] + ks[None, :] * np.log(yp)[:, None]) - lg_k[None, :]
     w = np.exp(lw)
-    vals = w @ ptab
+    vals = w @ tab
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -340,10 +350,3 @@ def qfunc_inv(p: float) -> float:
     if p == 0.5:
         return 0.0
     return -_norm_ppf(p)
-
-
-if __name__ == "__main__":  # smoke check against a couple of pinned values
-    assert abs(bessel_j0(1.0) - 0.7651976865579666) < 1e-13
-    assert abs(bessel_j0(2.404825557695773)) < 1e-12
-    assert qfunc_inv(0.5) == 0.0
-    print("specfun self-checks passed")

@@ -136,6 +136,30 @@ def joint_cdf_chndtr(mu, m: float, power: float, uppers) -> float:
     return val
 
 
+def survival_ncx2(chan, x: float) -> float:
+    """P(max_k R_k > x) of the best-port envelope from scipy alone.
+
+    1 - P(all R_k < x) = P(R_1 > x) + int_0^x f_1(x1) (1 - prod_k F_k) dx1,
+    with the Nakagami tail from scipy's gammaincc and each port's
+    conditional tail 1 - F_k from scipy's ncx2.sf (the noncentral chi^2
+    law of joint_cdf_chndtr), combined as -expm1(sum_k log1p(-tail_k)) so
+    that products of tails far below 1e-16 keep their relative accuracy.
+    """
+    m, power = float(chan.nakagami_m), float(chan.power)
+    mu2 = np.square(np.asarray(chan.mu, dtype=float))
+    scale = 2.0 * m / ((1.0 - mu2) * power)
+
+    def integrand(x1: float) -> float:
+        tails = stats.ncx2.sf(scale * x * x, 2.0 * m, scale * mu2 * x1 * x1)
+        return (stats.nakagami.pdf(x1, m, scale=math.sqrt(power))
+                * -math.expm1(float(np.sum(np.log1p(-tails)))))
+
+    head = float(special.gammaincc(m, m * x * x / power))
+    val, _ = integrate.quad(integrand, 0.0, x, epsabs=0.0, epsrel=1e-12,
+                            limit=400)
+    return head + val
+
+
 # ---------------------------------------------------------------------------
 # Rice-formula crossing rate by importance sampling
 # ---------------------------------------------------------------------------

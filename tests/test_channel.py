@@ -1,9 +1,11 @@
 """Port-selection channel model: correlation profile, joint and max laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fasdep import specfun
 from fasdep.channel import (
@@ -13,6 +15,7 @@ from fasdep.channel import (
     marginal_cdf,
     marginal_pdf,
     max_cdf,
+    max_cdf_and_survival,
     spatial_correlation,
 )
 
@@ -279,6 +282,68 @@ def test_max_cdf_rejects_degenerate_and_negative():
         max_cdf(FasChannel(n_ports=2, aperture=0.0, nakagami_m=1.0), 0.5)
     with pytest.raises(ValueError):
         max_cdf(FasChannel(n_ports=2, aperture=0.3, nakagami_m=1.0), -0.5)
+
+
+# ---------------------------------------------------------------------------
+# Upper tail of the best-port envelope
+# ---------------------------------------------------------------------------
+
+_TAIL_LAYOUTS = [
+    FasChannel(n_ports=2, aperture=0.5, nakagami_m=2.0),
+    FasChannel(n_ports=4, aperture=0.3, nakagami_m=2.0),
+    FasChannel(n_ports=8, aperture=0.7, nakagami_m=2.0),
+    FasChannel(n_ports=2, aperture=0.03, nakagami_m=5.0),
+    FasChannel(n_ports=4, aperture=0.03, nakagami_m=5.0),
+]
+
+
+@pytest.mark.parametrize("chan", _TAIL_LAYOUTS,
+                         ids=lambda c: f"n{c.n_ports}-w{c.aperture:g}-m{c.nakagami_m:g}")
+@pytest.mark.parametrize("x", [1.5, 3.0, 4.5, 6.0])
+def test_survival_against_ncx2(chan, x):
+    """1 - CDF to 1e-9 relative, down to ~1e-70 at x = 6, m = 5."""
+    want = oracles.survival_ncx2(chan, x)
+    assert want > 0.0
+    cdf, survival = max_cdf_and_survival(chan, x)
+    assert survival == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert cdf == pytest.approx(1.0 - want, rel=1e-9)
+
+
+def test_max_cdf_non_decreasing_far_above_envelope_scale():
+    """Above the median the CDF is 1 - survival, so quadrature noise on a
+    value near 1 cannot make it fall as the threshold rises."""
+    chan = FasChannel(n_ports=4, aperture=0.3, nakagami_m=2.0)
+    vals = [max_cdf(chan, float(x)) for x in np.linspace(1.0, 60.0, 60)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    assert vals[-1] == 1.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 8]),
+       spacing=st.floats(0.01, 0.5),
+       m=st.sampled_from([0.5, 1.0, 2.0, 3.5, 5.0]),
+       x=st.floats(0.05, 6.0))
+def test_survival_between_single_port_and_union_bound(n, spacing, m, x):
+    """P(R_1 > x) <= P(max_k R_k > x) <= N P(R_1 > x), and the pair sums to 1."""
+    chan = FasChannel(n_ports=n, aperture=spacing * (n - 1), nakagami_m=m)
+    cdf, survival = max_cdf_and_survival(chan, x)
+    single = specfun.reg_upper_inc_gamma(m, m * x * x)
+    assert single <= survival <= n * single * (1.0 + 1e-9)
+    assert abs(cdf + survival - 1.0) <= 1e-15
+
+
+def test_dense_port_kernel_memory_stays_bounded():
+    """Sorted Marcum chunks end where y leaves a few Poisson widths of the
+    chunk start, so 32 ports on 0.01 wavelengths need no wide weight matrix
+    (one uncapped 128-row chunk of them spans ~43 MB)."""
+    chan = FasChannel(n_ports=32, aperture=0.01, nakagami_m=1.0)
+    tracemalloc.start()
+    try:
+        max_cdf(chan, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

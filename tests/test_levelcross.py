@@ -64,6 +64,12 @@ def test_zero_threshold_never_crosses():
     assert lcr(_ctx(x=0.0)) == 0.0
     assert lcr_iid(_ctx(n=3, x=0.0)) == 0.0
     assert afd(_ctx(x=0.0)) == 0.0
+    # a one-port m = 1/2 envelope touches 0 at a finite rate, but never
+    # fades below it: ANFD is inf, as 1/Upsilon with Upsilon = 0
+    touching = _ctx(n=1, m=0.5, x=0.0)
+    assert lcr(touching) > 0.0
+    assert anfd(touching) == math.inf
+    assert failure_repair_rates(touching).failure_rate == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +200,19 @@ def test_anfd_computes_crossing_rate_once(monkeypatch):
         return lcr(ctx)
 
     ctx = _ctx(n=3, w=0.3, m=2.0, x=1.0)
-    want = 1.0 / lcr(ctx) - afd(ctx)
+    want = (1.0 - max_cdf(ctx.channel, 1.0)) / lcr(ctx)
     monkeypatch.setattr(levelcross, "lcr", counted)
     assert anfd(ctx) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [3.0, 3.3, 4.0])
+def test_anfd_is_inverse_failure_rate(x):
+    """One route to ANFD: the afd command's column and 1/Upsilon agree,
+    also where 1 - CDF is far below the CDF's quadrature tolerance."""
+    ctx = _ctx(n=4, w=0.3, m=2.0, x=x)
+    assert anfd(ctx) == pytest.approx(
+        1.0 / failure_repair_rates(ctx).failure_rate, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n,w,m,x", [
@@ -258,9 +273,9 @@ def test_fade_durations_below_envelope_scale():
 def test_rate_pair_deep_tail_stays_finite():
     """Beyond CDF quadrature resolution the failure rate must not blow up.
 
-    1 - max_cdf underflows the quadrature tolerance near x ~ 3.2 here; the
-    guard swaps in the single-port survival, and Upsilon has to stay finite
-    and keep growing smoothly through the handover.
+    1 - max_cdf falls below the CDF's absolute tolerance near x ~ 3.2
+    here; the survival is integrated to a relative tolerance there, and
+    Upsilon has to stay finite and keep growing.
     """
     rates = [failure_repair_rates(_ctx(n=2, w=0.5, m=2.0, x=x)).failure_rate
              for x in (2.5, 3.0, 3.5, 4.0, 6.0)]

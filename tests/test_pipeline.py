@@ -187,6 +187,17 @@ def test_reliability_non_decreasing_in_snr(n, spacing, m, delta_t, phi1_db,
         sys_.reliability(phi2, delta_t) + 1e-12
 
 
+def test_failure_rate_smooth_where_survival_leaves_cdf_resolution():
+    """log Upsilon is smooth in the SNR at the CLI defaults (N=4, W=0.3,
+    m=2).  Near -19.9 dB, 1 - CDF drops below 1e-7, under the CDF
+    quadrature's resolution; switching to the single-port tail bound there
+    steps log Upsilon by 1.34."""
+    sys_ = _system(n=4, w=0.3, m=2.0)
+    log_ups = np.log([sys_.rates(10.0 ** (db / 10.0)).failure_rate
+                      for db in np.linspace(-20.5, -19.5, 15)])
+    assert np.abs(np.diff(log_ups, 2)).max() < 1e-3
+
+
 def test_paper_rmax_mode_through_pipeline():
     """The alternative arrival-rate form must flow through evaluate().
 

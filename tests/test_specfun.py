@@ -28,7 +28,7 @@ def test_j0_at_zero():
 
 
 def test_j0_first_root():
-    assert abs(specfun.bessel_j0(J0_FIRST_ROOT)) < 1e-9
+    assert abs(specfun.bessel_j0(J0_FIRST_ROOT)) < 1e-12
 
 
 def test_j0_pinned_value():
@@ -192,6 +192,32 @@ def test_marcum_against_defining_integral():
                         (2.0, 30.0, 29.0)):
         assert 1.0 - _marcum_cdf(order, a, b)[0] == pytest.approx(
             oracles.marcum_q_ncx2(order, a, b), abs=1e-11)
+
+
+@pytest.mark.parametrize("order,b,a", [
+    (2.0, 30.0, (0.0, 1.0, 3.0, 10.0, 20.0, 28.0, 35.0)),
+    (0.5, 28.0, (0.2, 1.0, 5.0, 15.0)),
+    (5.0, 40.0, (6.0, 20.0, 38.0)),
+    (1.0, 20.5, (0.1, 2.0, 8.0)),
+])
+def test_marcum_complement_deep_tail_against_ncx2(order, b, a):
+    """complement=True returns Q itself, to relative accuracy far below the
+    1e-16 where 1 - (1 - Q) rounds to 0 (here down to 5e-250).  Rows with
+    y < z need the window centred above y, near sqrt(y z)."""
+    a = np.asarray(a)
+    want = np.array([oracles.marcum_q_ncx2(order, v, b) for v in a])
+    assert (want > 0.0).all()
+    got = specfun._one_minus_marcum_q_fixed_b(order, 0.5 * a * a, 0.5 * b * b,
+                                              complement=True)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def test_marcum_complement_edges():
+    """Q_nu(a, 0) = 1 and Q_nu(0, b) = Q(nu, b^2/2) on the complement side."""
+    tail = specfun._one_minus_marcum_q_fixed_b
+    assert tail(2.0, np.array([0.0, 3.0]), 0.0, complement=True).tolist() == [1.0, 1.0]
+    assert tail(2.0, np.array([0.0]), 200.0, complement=True)[0] == \
+        specfun.reg_upper_inc_gamma(2.0, 200.0)
 
 
 # ---------------------------------------------------------------------------
