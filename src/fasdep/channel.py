@@ -237,23 +237,26 @@ def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
     """CDF of the selected (best-port) envelope at x_th, and 1 minus it.
 
     The smaller side is computed and the other taken as 1 minus it; above
-    the median that is the survival, accurate deep into the tail.
+    the median that is the survival, accurate deep into the tail.  Where
+    the union bound N Q(m, m x^2/s2) < 1/2 already puts the survival on the
+    smaller side, the CDF integral is skipped.
     """
     if x_th < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {x_th}")
     if x_th == 0.0:
         return 0.0, 1.0
     m = chan.nakagami_m
+    z = m * x_th * x_th / chan.power
     if chan.n_ports == 1:
-        z = m * x_th * x_th / chan.power
         return specfun.reg_lower_inc_gamma(m, z), specfun.reg_upper_inc_gamma(m, z)
     if chan.degenerate_ports():
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
     x_th = float(x_th)
     uppers = (x_th,) * len(chan.mu)
-    cdf = _cdf_quad(chan, x_th, uppers)
-    if cdf <= 0.5:
-        return cdf, 1.0 - cdf
+    if chan.n_ports * specfun.reg_upper_inc_gamma(m, z) >= 0.5:
+        cdf = _cdf_quad(chan, x_th, uppers)
+        if cdf <= 0.5:
+            return cdf, 1.0 - cdf
     survival = _cdf_quad(chan, x_th, uppers, complement=True)
     return 1.0 - survival, survival
 

@@ -27,7 +27,7 @@ from .dependability import FblLink, fbl_threshold_eta, fbl_threshold_trace
 from .errors import FasdepError
 from .levelcross import CrossingContext, _fade_durations, afd, anfd, lcr, \
     lcr_iid, lcr_two_port_series, normalized_lcr
-from .mcsim import SimConfig, generate_fading, scan_crossings
+from .mcsim import SimConfig, export_trace, generate_fading, scan_crossings
 from .optimize import DinkelbachConfig, dinkelbach_maximize
 from .pipeline import MissionSystem, optimize_meee
 from .qos import QosProfile
@@ -36,9 +36,6 @@ EXIT_OK = 0
 EXIT_SPEC = 1
 EXIT_NUMERIC = 2
 EXIT_INFEASIBLE = 3
-
-_COMMANDS = ("lcr", "afd", "reliability", "mec", "meee", "optimize",
-             "simulate", "figure", "validate")
 
 
 class SpecError(Exception):
@@ -102,42 +99,40 @@ _KEYMAP: Dict[str, Tuple[str, type]] = {
 }
 
 
-def _load_config(path: str) -> Dict[str, str]:
+def _assign(params: RunParams, text: str, where: str) -> None:
+    """Apply one `key = value` assignment, from a config line or --set."""
+    if "=" not in text:
+        raise SpecError(f"{where}: expected 'key = value'")
+    key, val = (s.strip() for s in text.split("=", 1))
+    if key not in _KEYMAP:
+        raise SpecError(f"{where}: unknown key {key!r}")
+    attr, cast = _KEYMAP[key]
+    try:
+        setattr(params, attr, cast(val))
+    except ValueError as exc:
+        raise SpecError(f"{where}: bad value for {key}: {val!r}") from exc
+
+
+def _load_config(params: RunParams, path: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise SpecError(f"cannot read config {path}: {exc}") from exc
-    updates: Dict[str, str] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _KEYMAP:
-            raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
-        updates[key] = val
-    return updates
-
-
-def _apply_updates(params: RunParams, updates: Dict[str, str],
-                   origin: str) -> None:
-    for key, text in updates.items():
-        attr, cast = _KEYMAP[key]
-        try:
-            setattr(params, attr, cast(text))
-        except ValueError as exc:
-            raise SpecError(f"{origin}: bad value for {key}: {text!r}") from exc
+        if line:
+            _assign(params, line, f"{path}:{lineno}")
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEPABLE = ("phi", "threshold", "delta_t", "theta", "omega", "aperture",
-              "doppler")
+# sweep variable -> the RunParams attribute it sets (phi is kept in dB)
+_SWEEP_ATTRS = {"phi": "phi_db", "threshold": "threshold",
+                "delta_t": "delta_t", "theta": "qos_exponent",
+                "omega": "omega", "aperture": "aperture", "doppler": "doppler"}
 
 
 @dataclass(frozen=True)
@@ -166,9 +161,9 @@ def _parse_sweep(text: str) -> Sweep:
         raise SpecError(
             f"sweep must be var:start:stop:points[:scale], got {text!r}")
     var, start, stop, points, scale = parts
-    if var not in _SWEEPABLE:
+    if var not in _SWEEP_ATTRS:
         raise SpecError(f"unknown sweep variable {var!r}; "
-                        f"choose from {', '.join(_SWEEPABLE)}")
+                        f"choose from {', '.join(_SWEEP_ATTRS)}")
     if scale not in ("linear", "db", "log"):
         raise SpecError(f"unknown sweep scale {scale!r}")
     if scale == "db" and var != "phi":
@@ -179,28 +174,31 @@ def _parse_sweep(text: str) -> Sweep:
         raise SpecError(f"bad sweep spec {text!r}: {exc}") from exc
     if sw.points < 1:
         raise SpecError("sweep needs at least one point")
+    if var == "phi" and scale == "linear" and min(sw.start, sw.stop) <= 0:
+        raise SpecError("linear phi sweeps need positive endpoints; "
+                        "give the SNR in dB with a :db scale")
     return sw
 
 
-_DEFAULT_SWEEPS = {
-    "lcr": Sweep("threshold", 0.1, 2.5, 25, "linear"),
-    "afd": Sweep("threshold", 0.1, 2.5, 25, "linear"),
-    "reliability": Sweep("delta_t", 1.0, 20.0, 20, "linear"),
-    "mec": Sweep("phi", -5.0, 30.0, 36, "db"),
-    "meee": Sweep("phi", -5.0, 30.0, 36, "db"),
-    "simulate": Sweep("threshold", 0.3, 1.5, 5, "linear"),
-    "optimize": None,
-}
-
-# variables that actually reach each command's computation
-_SWEEP_VARS_BY_COMMAND = {
-    "lcr": {"threshold", "phi", "aperture", "doppler"},
-    "afd": {"threshold", "phi", "aperture", "doppler"},
-    "reliability": {"phi", "delta_t", "aperture", "doppler"},
-    "mec": {"phi", "delta_t", "theta", "aperture", "doppler"},
-    "meee": {"phi", "delta_t", "theta", "aperture", "doppler"},
-    "optimize": {"delta_t", "theta", "omega", "aperture", "doppler"},
-    "simulate": {"phi", "threshold"},
+# command -> (default sweep, the sweep variables that reach its computation);
+# optimize solves once unless swept, simulate only sweeps what one trace
+# serves, figure and validate take no sweep
+_COMMANDS: Dict[str, Tuple[Optional[Sweep], Tuple[str, ...]]] = {
+    "lcr": (Sweep("threshold", 0.1, 2.5, 25, "linear"),
+            ("threshold", "phi", "aperture", "doppler")),
+    "afd": (Sweep("threshold", 0.1, 2.5, 25, "linear"),
+            ("threshold", "phi", "aperture", "doppler")),
+    "reliability": (Sweep("delta_t", 1.0, 20.0, 20, "linear"),
+                    ("phi", "delta_t", "aperture", "doppler")),
+    "mec": (Sweep("phi", -5.0, 30.0, 36, "db"),
+            ("phi", "delta_t", "theta", "aperture", "doppler")),
+    "meee": (Sweep("phi", -5.0, 30.0, 36, "db"),
+             ("phi", "delta_t", "theta", "aperture", "doppler")),
+    "optimize": (None, ("delta_t", "theta", "omega", "aperture", "doppler")),
+    "simulate": (Sweep("threshold", 0.3, 1.5, 5, "linear"),
+                 ("phi", "threshold")),
+    "figure": (None, ()),
+    "validate": (None, ()),
 }
 
 
@@ -254,14 +252,6 @@ def _channel_of(p: RunParams) -> FasChannel:
         raise SpecError(f"bad channel parameters: {exc}") from exc
 
 
-def _link_of(p: RunParams, phi: float) -> FblLink:
-    try:
-        return FblLink(blocklength=p.blocklength, error_target=p.error_target,
-                       rate=p.rate, avg_snr=phi, eta_tol=p.eta_tol)
-    except ValueError as exc:
-        raise SpecError(f"bad link parameters: {exc}") from exc
-
-
 def _profile_of(p: RunParams) -> QosProfile:
     try:
         return QosProfile(qos_exponent=p.qos_exponent, burstiness=p.burstiness,
@@ -269,10 +259,6 @@ def _profile_of(p: RunParams) -> QosProfile:
                           idle_power=p.idle_power)
     except ValueError as exc:
         raise SpecError(f"bad QoS parameters: {exc}") from exc
-
-
-def _phi_linear(p: RunParams) -> float:
-    return 10.0 ** (p.phi_db / 10.0)
 
 
 def _param_header(spec: ExperimentSpec) -> List[Tuple[str, object]]:
@@ -294,62 +280,62 @@ def _param_header(spec: ExperimentSpec) -> List[Tuple[str, object]]:
 
 
 def _sweep_params(spec: ExperimentSpec):
-    """Yield (label_value, params, phi_linear) per grid point."""
+    """Yield (sweep value, params, phi_linear) per grid point; an unswept
+    run yields its one point with no sweep value."""
     sweep = spec.sweep
-    base = spec.params
     if sweep is None:
-        yield (_phi_linear(base) if spec.command == "optimize" else None,
-               base, _phi_linear(base))
+        yield None, spec.params, 10.0 ** (spec.params.phi_db / 10.0)
         return
     for v in sweep.grid():
-        p = dataclasses.replace(base)
         v = float(v)
+        x = v
         if sweep.var == "phi":
-            phi = 10.0 ** (v / 10.0) if sweep.scale == "db" else v
-            p.phi_db = 10.0 * math.log10(phi)
-        elif sweep.var == "threshold":
-            p.threshold = v
-        elif sweep.var == "delta_t":
-            p.delta_t = v
-        elif sweep.var == "theta":
-            p.qos_exponent = v
-        elif sweep.var == "omega":
-            p.omega = v
-        elif sweep.var == "aperture":
-            p.aperture = v
-        elif sweep.var == "doppler":
-            p.doppler = v
-        yield v, p, _phi_linear(p)
+            x = 10.0 * math.log10(10.0 ** (v / 10.0) if sweep.scale == "db"
+                                  else v)
+        p = dataclasses.replace(spec.params, **{_SWEEP_ATTRS[sweep.var]: x})
+        yield v, p, 10.0 ** (p.phi_db / 10.0)
 
 
-def _sweep_label(spec: ExperimentSpec) -> str:
-    if spec.sweep is None:
-        return "phi"
-    if spec.sweep.var == "phi":
-        return "phi_db" if spec.sweep.scale == "db" else "phi"
-    return spec.sweep.var
+def _table(spec: ExperimentSpec, columns: List[str], rows: List[list],
+           all_feasible: bool = True) -> ResultSet:
+    """The run's CSV, each row led by its sweep value.
 
-
-def _resolve_threshold(p: RunParams, phi: float,
-                       system: Optional[MissionSystem]) -> float:
-    if p.threshold is not None:
-        return p.threshold
-    if system is None:
-        raise SpecError("no threshold given and no link to derive one from")
-    return system.threshold(phi)
+    An unswept run has no sweep value to print, and in a threshold sweep
+    the first result column already is the threshold: both drop it.
+    """
+    sw = spec.sweep
+    if sw is None or sw.var == columns[0] == "threshold":
+        rows = [r[1:] for r in rows]
+    else:  # only phi takes a dB scale
+        columns = ["phi_db" if sw.scale == "db" else sw.var] + columns
+    return ResultSet(_param_header(spec), columns, rows, all_feasible)
 
 
 def _fresh_system(spec: ExperimentSpec, p: RunParams, phi: float,
                   cache: Dict[tuple, MissionSystem]) -> MissionSystem:
-    """One MissionSystem per channel geometry so Phi sweeps share caches."""
+    """The one place a MissionSystem is built: one per channel geometry, so
+    Phi sweeps share its caches."""
     key = (p.n_ports, p.aperture, p.nakagami_m, p.power, p.doppler,
            p.rate, p.blocklength, p.error_target, p.eta_tol)
     if key not in cache:
-        cache[key] = MissionSystem(
-            _channel_of(p), p.doppler, _link_of(p, phi),
-            threshold_mode="sqrt_eta" if spec.threshold_mode == "sqrt_eta"
-            else "rho")
+        chan = _channel_of(p)
+        try:
+            link = FblLink(blocklength=p.blocklength,
+                           error_target=p.error_target, rate=p.rate,
+                           avg_snr=phi, eta_tol=p.eta_tol)
+        except ValueError as exc:
+            raise SpecError(f"bad link parameters: {exc}") from exc
+        cache[key] = MissionSystem(chan, p.doppler, link,
+                                   threshold_mode=spec.threshold_mode)
     return cache[key]
+
+
+def _threshold(spec: ExperimentSpec, p: RunParams, phi: float,
+               cache: Dict[tuple, MissionSystem]) -> float:
+    """The set or swept threshold, else the link's decision level at phi."""
+    if p.threshold is not None:
+        return p.threshold
+    return _fresh_system(spec, p, phi, cache).threshold(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -357,33 +343,35 @@ def _fresh_system(spec: ExperimentSpec, p: RunParams, phi: float,
 # ---------------------------------------------------------------------------
 
 def _run_crossing(spec: ExperimentSpec) -> ResultSet:
-    label = _sweep_label(spec)
     cache: Dict[tuple, MissionSystem] = {}
     rows = []
     for v, p, phi in _sweep_params(spec):
-        needs_link = p.threshold is None
-        system = _fresh_system(spec, p, phi, cache) if needs_link else None
-        th = _resolve_threshold(p, phi, system)
+        th = _threshold(spec, p, phi, cache)
         ctx = CrossingContext(_channel_of(p), p.doppler, th)
         if spec.command == "lcr":
             rate = lcr(ctx)
-            rows.append([v if v is not None else phi, th, rate,
-                         rate / p.doppler])
+            rows.append([v, th, rate, rate / p.doppler])
         else:
-            fade, non_fade, cdf, rate = _fade_durations(ctx)
-            rows.append([v if v is not None else phi, th, fade, non_fade,
-                         cdf, rate])
-    columns = ([label, "threshold", "lcr", "nlcr"] if spec.command == "lcr"
-               else [label, "threshold", "afd", "anfd", "cdf", "lcr"])
-    if label == "threshold":
-        # the sweep column already is the threshold; drop the duplicate
-        columns = columns[:1] + columns[2:]
-        rows = [r[:1] + r[2:] for r in rows]
-    return ResultSet(_param_header(spec), columns, rows)
+            rows.append([v, th, *_fade_durations(ctx)])
+    columns = (["threshold", "lcr", "nlcr"] if spec.command == "lcr"
+               else ["threshold", "afd", "anfd", "cdf", "lcr"])
+    return _table(spec, columns, rows)
+
+
+# (CSV column, MissionPoint field) per mission command
+_MISSION_COLUMNS = {
+    "reliability": (("threshold", "rho"), ("upsilon", "failure_rate"),
+                    ("mttff", "mean_ttff"), ("r_m", "reliability")),
+    "mec": (("phi", "avg_snr"), ("eta", "eta"), ("rho", "rho"),
+            ("r_m", "reliability"), ("mec", "mec")),
+    "meee": (("phi", "avg_snr"), ("rho", "rho"), ("r_m", "reliability"),
+             ("mec", "mec"), ("rmax", "max_arrival"), ("p_t", "power"),
+             ("meee", "meee")),
+}
 
 
 def _run_mission(spec: ExperimentSpec) -> ResultSet:
-    label = _sweep_label(spec)
+    fields = _MISSION_COLUMNS[spec.command]
     cache: Dict[tuple, MissionSystem] = {}
     rows = []
     for v, p, phi in _sweep_params(spec):
@@ -395,62 +383,32 @@ def _run_mission(spec: ExperimentSpec) -> ResultSet:
                 warnings.filterwarnings("ignore", "idle power", RuntimeWarning)
             point = system.evaluate(phi, profile, p.delta_t,
                                     rmax_mode=spec.rmax_mode)
-        key = v if v is not None else phi
-        if spec.command == "reliability":
-            rows.append([key, point.rho, point.failure_rate,
-                         point.mean_ttff, point.reliability])
-        elif spec.command == "mec":
-            rows.append([key, point.avg_snr, point.eta, point.rho,
-                         point.reliability, point.mec])
-        else:  # meee
-            rows.append([key, point.avg_snr, point.rho, point.reliability,
-                         point.mec, point.max_arrival, point.power,
-                         point.meee])
-    columns = {
-        "reliability": [label, "threshold", "upsilon", "mttff", "r_m"],
-        "mec": [label, "phi", "eta", "rho", "r_m", "mec"],
-        "meee": [label, "phi", "rho", "r_m", "mec", "rmax", "p_t", "meee"],
-    }[spec.command]
-    return ResultSet(_param_header(spec), columns, rows)
+        rows.append([v] + [getattr(point, f) for _, f in fields])
+    return _table(spec, [c for c, _ in fields], rows)
 
 
 def _run_optimize(spec: ExperimentSpec) -> ResultSet:
-    label = _sweep_label(spec)
     cache: Dict[tuple, MissionSystem] = {}
     rows = []
     all_feasible = True
     for v, p, phi in _sweep_params(spec):
-        system = _fresh_system(spec, p, phi, cache)
-        profile = _profile_of(p)
-        res = optimize_meee(system, profile, p.delta_t, p.omega,
+        res = optimize_meee(_fresh_system(spec, p, phi, cache),
+                            _profile_of(p), p.delta_t, p.omega,
                             rmax_mode=spec.rmax_mode)
         all_feasible &= res.feasible
         star_db = (10.0 * math.log10(res.phi_star)
                    if res.feasible and res.phi_star > 0 else math.nan)
-        rows.append([v if v is not None else phi, res.phi_star, star_db,
-                     res.value_star, len(res.kappa_trace) - 1,
-                     res.feasible, res.converged])
-    columns = [label, "phi_star", "phi_star_db", "meee_star",
-               "outer_iters", "feasible", "converged"]
-    if spec.sweep is None:
-        # single solve: no sweep variable to report
-        columns = columns[1:]
-        rows = [r[1:] for r in rows]
-    return ResultSet(_param_header(spec), columns, rows,
-                     all_feasible=all_feasible)
+        rows.append([v, res.phi_star, star_db, res.value_star,
+                     len(res.kappa_trace) - 1, res.feasible, res.converged])
+    columns = ["phi_star", "phi_star_db", "meee_star", "outer_iters",
+               "feasible", "converged"]
+    return _table(spec, columns, rows, all_feasible)
 
 
 def _run_simulate(spec: ExperimentSpec) -> ResultSet:
-    if spec.sweep is not None and spec.sweep.var not in ("phi", "threshold"):
-        raise SpecError("simulate sweeps phi or threshold only "
-                        "(one trace serves every threshold)")
     points = list(_sweep_params(spec))
     cache: Dict[tuple, MissionSystem] = {}
-    thresholds = []
-    for v, p, phi in points:
-        needs_link = p.threshold is None
-        system = _fresh_system(spec, p, phi, cache) if needs_link else None
-        thresholds.append(_resolve_threshold(p, phi, system))
+    thresholds = [_threshold(spec, p, phi, cache) for _, p, phi in points]
 
     p0 = points[0][1]
     chan = _channel_of(p0)
@@ -460,51 +418,39 @@ def _run_simulate(spec: ExperimentSpec) -> ResultSet:
                     n_oscillators=p0.n_oscillators, seed=spec.seed)
     scan = scan_crossings(cfg, thresholds)
     if spec.dump_trace:
-        from .mcsim import export_trace
         small = dataclasses.replace(cfg, duration=min(cfg.duration,
                                                       4096 / sample_rate))
         export_trace(generate_fading(small), spec.dump_trace)
 
-    label = _sweep_label(spec)
     rows = []
-    for i, (v, p, phi) in enumerate(points):
-        th = thresholds[i]
+    for i, ((v, p, _), th) in enumerate(zip(points, thresholds)):
         ctx = CrossingContext(chan, p.doppler, th)
-        analytic = lcr(ctx) / p.doppler
-        rows.append([v if v is not None else phi, th,
-                     analytic, scan.nlcr(i, p.doppler),
-                     max_cdf(chan, th), scan.cdf(i),
-                     int(scan.crossings[i])])
-    columns = [label, "threshold", "nlcr_analytic", "nlcr_sim",
-               "cdf_analytic", "cdf_sim", "crossings"]
-    if label == "threshold":
-        columns = columns[:1] + columns[2:]
-        rows = [r[:1] + r[2:] for r in rows]
-    return ResultSet(_param_header(spec), columns, rows)
+        rows.append([v, th, lcr(ctx) / p.doppler, scan.nlcr(i, p.doppler),
+                     max_cdf(chan, th), scan.cdf(i), int(scan.crossings[i])])
+    columns = ["threshold", "nlcr_analytic", "nlcr_sim", "cdf_analytic",
+               "cdf_sim", "crossings"]
+    return _table(spec, columns, rows)
 
 
 # ---------------------------------------------------------------------------
-# Figure presets
+# Figure presets: each fixes its geometry on top of the run's parameters and
+# builds its systems through _fresh_system, so both mode flags reach it
 # ---------------------------------------------------------------------------
-
-def _preset_profile(p: RunParams, **over) -> QosProfile:
-    base = _profile_of(p)
-    return dataclasses.replace(base, **over) if over else base
-
 
 def _figure_fig2(spec: ExperimentSpec) -> ResultSet:
     p = spec.params
     grid = np.linspace(-5.0, 30.0, 36)
-    profile = _preset_profile(p)
+    profile = _profile_of(p)
+    cache: Dict[tuple, MissionSystem] = {}
     columns = ["phi_db"]
     series = []
     for n in (1, 2, 4):
-        chan = FasChannel(n_ports=n, aperture=0.3, nakagami_m=2.0,
-                          power=p.power)
-        system = MissionSystem(chan, p.doppler, _link_of(p, 1.0))
-        vals = [system.evaluate(10.0 ** (db / 10.0), profile, p.delta_t,
-                                rmax_mode=spec.rmax_mode).meee for db in grid]
-        series.append(vals)
+        geometry = dataclasses.replace(p, n_ports=n, aperture=0.3,
+                                       nakagami_m=2.0)
+        system = _fresh_system(spec, geometry, 1.0, cache)
+        series.append([system.evaluate(10.0 ** (db / 10.0), profile, p.delta_t,
+                                       rmax_mode=spec.rmax_mode).meee
+                       for db in grid])
         columns.append(f"meee_n{n}")
     rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
     head = _param_header(spec) + [("figure.aperture", 0.3), ("figure.m", 2.0)]
@@ -514,23 +460,23 @@ def _figure_fig2(spec: ExperimentSpec) -> ResultSet:
 def _figure_fig3(spec: ExperimentSpec) -> ResultSet:
     p = spec.params
     grid = np.linspace(0.0, 30.0, 7)
-    link = FblLink(blocklength=p.blocklength, error_target=p.error_target,
-                   rate=1.0, avg_snr=1.0, eta_tol=p.eta_tol)
-    configs = [("n1", FasChannel(1, 0.0, 1.0, p.power)),
-               ("n2w05", FasChannel(2, 0.5, 1.0, p.power)),
-               ("n4w03", FasChannel(4, 0.3, 1.0, p.power))]
+    layouts = [("n1", 1, 0.0), ("n2w05", 2, 0.5), ("n4w03", 4, 0.3)]
+    cache: Dict[tuple, MissionSystem] = {}
     columns = ["phi_db"]
     data = []
     sample_rate = p.sample_rate_factor * p.doppler
-    for idx, (tag, chan) in enumerate(configs):
-        system = MissionSystem(chan, p.doppler, link)
+    for idx, (tag, n, w) in enumerate(layouts):
+        geometry = dataclasses.replace(p, n_ports=n, aperture=w,
+                                       nakagami_m=1.0, rate=1.0)
+        system = _fresh_system(spec, geometry, 1.0, cache)
+        chan = system.channel
         ths = [system.threshold(10.0 ** (db / 10.0)) for db in grid]
         analytic = [normalized_lcr(CrossingContext(chan, p.doppler, th))
                     for th in ths]
         cfg = SimConfig(chan=chan, doppler=p.doppler, sample_rate=sample_rate,
                         duration=float(p.samples) / sample_rate,
                         n_oscillators=p.n_oscillators, seed=spec.seed,
-                        n_trials=len(configs))
+                        n_trials=len(layouts))
         scan = scan_crossings(cfg, ths, trial=idx)
         sim = [scan.nlcr(i, p.doppler) for i in range(len(ths))]
         data.extend([analytic, sim])
@@ -546,36 +492,35 @@ def _figure_fig4(spec: ExperimentSpec) -> ResultSet:
     # pinned at 0 dB: the N=2 curves then decay visibly over 1..20 s while
     # the N=4 ones stay high; larger SNR flattens everything against 1
     phi = 1.0
-    configs = [(n, w) for n in (2, 4) for w in (0.25, 0.5)]
+    cache: Dict[tuple, MissionSystem] = {}
     columns = ["delta_t"]
     series = []
-    for n, w in configs:
-        chan = FasChannel(n_ports=n, aperture=w, nakagami_m=2.0, power=p.power)
-        system = MissionSystem(chan, p.doppler, _link_of(p, phi))
-        vals = [system.reliability(phi, dt) for dt in grid]
-        series.append(vals)
+    for n, w in [(n, w) for n in (2, 4) for w in (0.25, 0.5)]:
+        geometry = dataclasses.replace(p, n_ports=n, aperture=w,
+                                       nakagami_m=2.0)
+        system = _fresh_system(spec, geometry, phi, cache)
+        series.append([system.reliability(phi, dt) for dt in grid])
         columns.append(f"rm_n{n}w{str(w).replace('.', '')}")
     rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
     head = _param_header(spec) + [("figure.m", 2.0), ("figure.phi_db", 0.0)]
     return ResultSet(head, columns, rows)
 
 
-def _optimized_sweep(spec: ExperimentSpec, sweep_name: str,
-                     grid: Sequence[float], m: float, aperture: float,
-                     delta_t_of, theta_of, omega_of) -> ResultSet:
-    p = spec.params
-    columns = [sweep_name]
-    per_n: Dict[int, MissionSystem] = {}
+def _optimized_sweep(spec: ExperimentSpec, var: str, grid: Sequence[float],
+                     m: float, aperture: float) -> ResultSet:
+    """Optimized mEEE at N = 1, 2, 4 as the sweep variable `var` moves."""
+    columns = [var]
+    cache: Dict[tuple, MissionSystem] = {}
     series = []
     all_feasible = True
     for n in (1, 2, 4):
-        chan = FasChannel(n_ports=n, aperture=aperture, nakagami_m=m,
-                          power=p.power)
-        per_n[n] = MissionSystem(chan, p.doppler, _link_of(p, 1.0))
+        base = dataclasses.replace(spec.params, n_ports=n, aperture=aperture,
+                                   nakagami_m=m)
+        system = _fresh_system(spec, base, 1.0, cache)
         stars, vals = [], []
         for v in grid:
-            profile = _preset_profile(p, qos_exponent=theta_of(v))
-            res = optimize_meee(per_n[n], profile, delta_t_of(v), omega_of(v),
+            p = dataclasses.replace(base, **{_SWEEP_ATTRS[var]: float(v)})
+            res = optimize_meee(system, _profile_of(p), p.delta_t, p.omega,
                                 rmax_mode=spec.rmax_mode)
             all_feasible &= res.feasible
             stars.append(10.0 * math.log10(res.phi_star)
@@ -590,34 +535,21 @@ def _optimized_sweep(spec: ExperimentSpec, sweep_name: str,
 
 
 def _figure_fig5(spec: ExperimentSpec) -> ResultSet:
-    p = spec.params
     return _optimized_sweep(spec, "delta_t", np.linspace(1.0, 20.0, 20),
-                            m=5.0, aperture=0.03,
-                            delta_t_of=lambda v: v,
-                            theta_of=lambda v: p.qos_exponent,
-                            omega_of=lambda v: p.omega)
+                            m=5.0, aperture=0.03)
 
 
 def _figure_fig6(spec: ExperimentSpec) -> ResultSet:
     # sweep starts where the buffer constraint is active: below theta ~0.026
     # the reliability-clamped capacity is flat while the load-proportional
     # power still falls, so efficiency creeps up by ~3e-4 before turning over
-    p = spec.params
     return _optimized_sweep(spec, "theta", np.geomspace(0.05, 1.0, 13),
-                            m=5.0, aperture=0.03,
-                            delta_t_of=lambda v: p.delta_t,
-                            theta_of=lambda v: v,
-                            omega_of=lambda v: p.omega)
+                            m=5.0, aperture=0.03)
 
 
 def _figure_fig7(spec: ExperimentSpec) -> ResultSet:
-    p = spec.params
-    omegas = (0.9, 0.99, 0.999, 0.9999, 0.99999)
-    return _optimized_sweep(spec, "omega", omegas,
-                            m=4.0, aperture=0.03,
-                            delta_t_of=lambda v: p.delta_t,
-                            theta_of=lambda v: p.qos_exponent,
-                            omega_of=lambda v: v)
+    return _optimized_sweep(spec, "omega", (0.9, 0.99, 0.999, 0.9999, 0.99999),
+                            m=4.0, aperture=0.03)
 
 
 def _run_figure(spec: ExperimentSpec) -> ResultSet:
@@ -741,10 +673,8 @@ def _validate_checks(preset: str, seed: int):
         yield ("mc-nlcr-fig3-points", worst < 0.05, f"max rel err {worst:.2%}")
 
 
-def _run_validate(spec: ExperimentSpec) -> Tuple[str, int]:
+def _run_validate(spec: ExperimentSpec) -> str:
     preset = spec.preset if spec.preset is not None else "quick"
-    if preset == "":
-        raise SpecError("validate preset must not be empty")
     if preset not in ("quick", "full"):
         raise SpecError(f"unknown validate preset {preset!r}; "
                         "choose quick or full")
@@ -755,7 +685,7 @@ def _run_validate(spec: ExperimentSpec) -> Tuple[str, int]:
         n_pass += passed
         lines.append(f"{'PASS' if passed else 'FAIL':4s}  {name:36s}  {detail}")
     lines.append(f"overall: {n_pass}/{n_total} passed")
-    return "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -764,18 +694,10 @@ def _run_validate(spec: ExperimentSpec) -> Tuple[str, int]:
 
 def run(spec: ExperimentSpec) -> ResultSet:
     """Evaluate an experiment; grid points are emitted in sweep order."""
-    runners = {
-        "lcr": _run_crossing,
-        "afd": _run_crossing,
-        "reliability": _run_mission,
-        "mec": _run_mission,
-        "meee": _run_mission,
-        "optimize": _run_optimize,
-        "simulate": _run_simulate,
-        "figure": _run_figure,
-    }
-    if spec.command not in runners:
-        raise SpecError(f"unknown command {spec.command!r}")
+    runners = {"lcr": _run_crossing, "afd": _run_crossing,
+               "reliability": _run_mission, "mec": _run_mission,
+               "meee": _run_mission, "optimize": _run_optimize,
+               "simulate": _run_simulate, "figure": _run_figure}
     return runners[spec.command](spec)
 
 
@@ -812,29 +734,19 @@ def _build_parser() -> _Parser:
 def _build_spec(args) -> ExperimentSpec:
     params = RunParams()
     if args.config:
-        _apply_updates(params, _load_config(args.config), args.config)
-    overrides = {}
+        _load_config(params, args.config)
     for item in args.set:
-        if "=" not in item:
-            raise SpecError(f"--set expects KEY=VALUE, got {item!r}")
-        key, val = (s.strip() for s in item.split("=", 1))
-        if key not in _KEYMAP:
-            raise SpecError(f"--set: unknown key {key!r}")
-        overrides[key] = val
-    _apply_updates(params, overrides, "--set")
+        _assign(params, item, f"--set {item!r}")
 
-    sweep = None
+    sweep, allowed = _COMMANDS[args.command]
     if args.sweep:
-        if args.command in ("figure", "validate"):
+        if not allowed:
             raise SpecError(f"{args.command} does not accept --sweep")
         sweep = _parse_sweep(args.sweep)
-        allowed = _SWEEP_VARS_BY_COMMAND[args.command]
         if sweep.var not in allowed:
             raise SpecError(
                 f"{args.command} ignores {sweep.var!r}; sweepable variables "
                 f"are {', '.join(sorted(allowed))}")
-    elif args.command in _DEFAULT_SWEEPS:
-        sweep = _DEFAULT_SWEEPS[args.command]
 
     if args.preset and args.command not in ("figure", "validate"):
         raise SpecError(f"--preset applies to figure/validate, "
@@ -863,9 +775,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         spec = _build_spec(args)
         if spec.command == "validate":
-            report, code = _run_validate(spec)
-            _emit(report, spec.out)
-            return code
+            _emit(_run_validate(spec), spec.out)
+            return EXIT_OK
         result = run(spec)
         _emit(render_csv(result), spec.out)
         return EXIT_OK if result.all_feasible else EXIT_INFEASIBLE

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fasdep import specfun
+from fasdep import channel, specfun
 from fasdep.channel import (
     FasChannel,
     bivariate_cdf_series,
@@ -316,6 +316,24 @@ def test_max_cdf_non_decreasing_far_above_envelope_scale():
     vals = [max_cdf(chan, float(x)) for x in np.linspace(1.0, 60.0, 60)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == 1.0
+
+
+def test_union_bound_skips_the_cdf_integral(monkeypatch):
+    """At N=4, W=0.3, m=2, x=3 the union bound N Q(2, 18) = 1.2e-6 < 1/2
+    already puts the survival on the smaller side: it is the one integral."""
+    chan = FasChannel(n_ports=4, aperture=0.3, nakagami_m=2.0)
+    inner = channel._cdf_quad
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("complement", False))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_cdf_quad", counted)
+    cdf, survival = max_cdf_and_survival(chan, 3.0)
+    assert calls == [True]
+    assert survival == inner(chan, 3.0, (3.0,) * 3, complement=True)
+    assert cdf == 1.0 - survival
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

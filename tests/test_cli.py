@@ -119,6 +119,49 @@ def test_sweep_spec_errors(capsys, text):
     assert code == 1 and err.startswith("fasdep:")
 
 
+def test_linear_phi_sweep_needs_positive_endpoints(capsys):
+    """A linear SNR of 0 has no dB value; the refusal points to :db."""
+    code, _, err = _run(capsys, "mec", "--sweep", "phi:0:10:3")
+    assert code == 1
+    assert "phi" in err and ":db" in err
+
+
+# endpoints at which each variable moves the results on CHEAP settings; the
+# optimizer's reliability constraint binds at both ends of each optimize sweep
+_SWEEP_ENDS = {
+    "phi": "phi:0:10:2:db",
+    "threshold": "threshold:0.5:1.5:2",
+    "delta_t": "delta_t:1:10:2",
+    "theta": "theta:0.05:1:2",
+    "omega": "omega:0.9:0.9999:2",
+    "aperture": "aperture:0.2:0.5:2",
+    "doppler": "doppler:5:50:2",
+}
+
+
+@pytest.mark.parametrize("command,var", [
+    (c, v) for c, (_, listed) in cli._COMMANDS.items() for v in listed])
+def test_listed_sweep_variable_moves_a_result(capsys, command, var):
+    """Every variable the command table lists reaches the computation."""
+    code, out, err = _run(capsys, command, "--sweep", _SWEEP_ENDS[var],
+                          *CHEAP, "--set", "sim.samples=2e5")
+    assert code == 0, err
+    _, columns, rows = _parse(out)
+    # the sweep column and the linear phi echo of a dB sweep are not results
+    results = [j for j, c in enumerate(columns) if c not in (columns[0], "phi")]
+    assert len(rows) == 2 and results
+    assert any(rows[0][j] != rows[1][j] for j in results)
+
+
+@pytest.mark.parametrize("command,var", [
+    (c, v) for c, (_, listed) in cli._COMMANDS.items()
+    for v in cli._SWEEP_ATTRS if v not in listed])
+def test_unlisted_sweep_variable_exits_1(capsys, command, var):
+    code, out, err = _run(capsys, command, "--sweep", _SWEEP_ENDS[var],
+                          *CHEAP)
+    assert code == 1 and out == "" and err.startswith("fasdep:")
+
+
 def test_preset_rules(capsys):
     assert _run(capsys, "figure")[0] == 1               # preset required
     assert _run(capsys, "figure", "--preset", "fig9")[0] == 1
@@ -364,6 +407,20 @@ def test_figure_fig4_trends(capsys):
         assert np.all(np.diff(grid[:, j]) < 0.0)
     assert np.all(grid[:, 3] > grid[:, 1])  # more ports help
     assert np.all(grid[:, 2] > grid[:, 1])  # wider aperture helps
+
+
+def test_figure_presets_honour_threshold_mode(capsys):
+    """fig2's N=2 curve in sqrt-eta mode is `meee` at the same point."""
+    mode = ("--threshold-mode", "sqrt-eta")
+    code, out, _ = _run(capsys, "figure", "--preset", "fig2", *mode)
+    assert code == 0
+    _, columns, rows = _parse(out)
+    (fig,) = [r for r in rows if float(r[0]) == 10.0]
+    code, out, _ = _run(capsys, "meee", "--sweep", "phi:10:10:1:db",
+                        "--set", "channel.n_ports=2", *mode)
+    assert code == 0
+    _, meee_columns, (row,) = _parse(out)
+    assert fig[columns.index("meee_n2")] == row[meee_columns.index("meee")]
 
 
 def test_validate_quick_reports_all_pass(capsys):
