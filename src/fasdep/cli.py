@@ -6,7 +6,8 @@ parameter set, so any output file is reproducible from its own header.
 Analytic commands are deterministic; `simulate` adds a seed.
 
 Exit codes: 0 success, 1 bad invocation or parameter domain error,
-2 numerical failure inside a computation, 3 infeasible optimization.
+2 numerical failure inside a computation, 3 infeasible optimization,
+4 a validation check failed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_SPEC = 1
 EXIT_NUMERIC = 2
 EXIT_INFEASIBLE = 3
+EXIT_CHECK_FAILED = 4
 
 
 class SpecError(Exception):
@@ -286,6 +288,7 @@ def _sweep_params(spec: ExperimentSpec):
     if sweep is None:
         yield None, spec.params, 10.0 ** (spec.params.phi_db / 10.0)
         return
+    linear_phi = sweep.var == "phi" and sweep.scale != "db"
     for v in sweep.grid():
         v = float(v)
         x = v
@@ -293,21 +296,26 @@ def _sweep_params(spec: ExperimentSpec):
             x = 10.0 * math.log10(10.0 ** (v / 10.0) if sweep.scale == "db"
                                   else v)
         p = dataclasses.replace(spec.params, **{_SWEEP_ATTRS[sweep.var]: x})
-        yield v, p, 10.0 ** (p.phi_db / 10.0)
+        # a linear or log phi grid holds phi itself, not a trip through dB
+        yield v, p, v if linear_phi else 10.0 ** (p.phi_db / 10.0)
 
 
 def _table(spec: ExperimentSpec, columns: List[str], rows: List[list],
            all_feasible: bool = True) -> ResultSet:
     """The run's CSV, each row led by its sweep value.
 
-    An unswept run has no sweep value to print, and in a threshold sweep
-    the first result column already is the threshold: both drop it.
+    An unswept run has no sweep value to print, and where the first result
+    column already is the sweep variable (a threshold sweep, or a linear
+    or log phi sweep of mec and meee) the sweep value would repeat it:
+    both drop it.
     """
     sw = spec.sweep
-    if sw is None or sw.var == columns[0] == "threshold":
+    # only phi takes a dB scale
+    label = None if sw is None else "phi_db" if sw.scale == "db" else sw.var
+    if label in (None, columns[0]):
         rows = [r[1:] for r in rows]
-    else:  # only phi takes a dB scale
-        columns = ["phi_db" if sw.scale == "db" else sw.var] + columns
+    else:
+        columns = [label] + columns
     return ResultSet(_param_header(spec), columns, rows, all_feasible)
 
 
@@ -673,7 +681,8 @@ def _validate_checks(preset: str, seed: int):
         yield ("mc-nlcr-fig3-points", worst < 0.05, f"max rel err {worst:.2%}")
 
 
-def _run_validate(spec: ExperimentSpec) -> str:
+def _run_validate(spec: ExperimentSpec) -> Tuple[str, bool]:
+    """The self-check report and whether every check passed."""
     preset = spec.preset if spec.preset is not None else "quick"
     if preset not in ("quick", "full"):
         raise SpecError(f"unknown validate preset {preset!r}; "
@@ -685,7 +694,7 @@ def _run_validate(spec: ExperimentSpec) -> str:
         n_pass += passed
         lines.append(f"{'PASS' if passed else 'FAIL':4s}  {name:36s}  {detail}")
     lines.append(f"overall: {n_pass}/{n_total} passed")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", n_pass == n_total
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +784,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         spec = _build_spec(args)
         if spec.command == "validate":
-            _emit(_run_validate(spec), spec.out)
-            return EXIT_OK
+            report, passed = _run_validate(spec)
+            _emit(report, spec.out)
+            return EXIT_OK if passed else EXIT_CHECK_FAILED
         result = run(spec)
         _emit(render_csv(result), spec.out)
         return EXIT_OK if result.all_feasible else EXIT_INFEASIBLE

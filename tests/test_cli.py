@@ -119,6 +119,16 @@ def test_sweep_spec_errors(capsys, text):
     assert code == 1 and err.startswith("fasdep:")
 
 
+def test_linear_phi_sweep_prints_its_grid_once(capsys):
+    """A linear phi grid reaches mec as is: one phi column, 7 stays 7."""
+    code, out, _ = _run(capsys, "mec", "--sweep", "phi:1:10:4",
+                        "--set", "channel.n_ports=2")
+    assert code == 0
+    _, columns, rows = _parse(out)
+    assert columns == ["phi", "eta", "rho", "r_m", "mec"]
+    assert [r[0] for r in rows] == ["1", "4", "7", "10"]
+
+
 def test_linear_phi_sweep_needs_positive_endpoints(capsys):
     """A linear SNR of 0 has no dB value; the refusal points to :db."""
     code, _, err = _run(capsys, "mec", "--sweep", "phi:0:10:3")
@@ -437,6 +447,14 @@ def test_validate_is_default_preset(capsys):
     code, out, _ = _run(capsys, "validate")
     assert code == 0
     assert out.splitlines()[0] == "validation preset: quick"
+
+
+def test_validate_failing_check_exits_nonzero(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_validate_checks", lambda preset, seed: iter(
+        [("always-fails", False, "forced failure")]))
+    code, out, _ = _run(capsys, "validate")
+    assert code == cli.EXIT_CHECK_FAILED != 0
+    assert out.splitlines()[-1] == "overall: 0/1 passed"
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fasdep.optimize import (
     DinkelbachConfig,
     OptResult,
+    _feasible_lower_end,
     dinkelbach_maximize,
     golden_section_max,
 )
@@ -119,6 +121,47 @@ def test_constraint_pins_boundary_solution():
     assert res.value_star == pytest.approx(math.log(4.0) / 4.0, rel=1e-5)
 
 
+def test_boundary_rule_returns_lower_end_after_one_extra_point():
+    """The ratio falls at the feasible lower end x = 3 (its peak is e - 1),
+    so the solve returns that end exactly, with the one-step trace, after
+    evaluating the ratio at one point the boundary search did not visit."""
+    probed, f1_at, f2_at = [], [], []
+
+    def g(x):
+        probed.append(x)
+        return x
+
+    def f1(x):
+        f1_at.append(x)
+        return math.log1p(x)
+
+    def f2(x):
+        f2_at.append(x)
+        return 1.0 + x
+
+    res = dinkelbach_maximize(f1, f2, cfg=_benchmark_cfg(), constraint=g,
+                              level=3.0)
+    lower = _feasible_lower_end(lambda x: x, 3.0, 0.0, 10.0)
+    assert res.feasible and res.converged
+    assert res.phi_star == lower == 3.0
+    assert res.value_star == math.log1p(lower) / (1.0 + lower)
+    assert res.kappa_trace == (0.0, res.value_star)
+    assert f1_at == f2_at and len(f1_at) == 2
+    assert set(f1_at) - set(probed) == {lower + lower * 1e-9}
+
+
+def test_boundary_rule_steps_off_a_zero_lower_end():
+    """A slack constraint leaves lb = 0 on the linear grid.  The rule's step
+    is inner_tol (ub - lb) there, not the zero-width lb (1 + inner_tol), so
+    the rising ratio at 0 is seen and the interior peak e - 1 is found."""
+    res = dinkelbach_maximize(lambda x: math.log1p(x), lambda x: 1.0 + x,
+                              cfg=_benchmark_cfg(),
+                              constraint=lambda x: x, level=-1.0)
+    assert len(res.kappa_trace) > 2
+    assert res.phi_star == pytest.approx(math.e - 1.0, abs=1e-6)
+    assert res.value_star == pytest.approx(1.0 / math.e, rel=1e-9)
+
+
 def test_constraint_inactive_when_slack():
     res = dinkelbach_maximize(lambda x: math.log1p(x), lambda x: 1.0 + x,
                               cfg=_benchmark_cfg(),
@@ -159,6 +202,34 @@ def test_non_interval_constraint_is_refused():
         dinkelbach_maximize(lambda x: math.log1p(x), lambda x: 1.0 + x,
                             cfg=_benchmark_cfg(),
                             constraint=math.sin, level=0.5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(log_boundary=st.floats(-2.0, 4.0), b=st.floats(0.5, 6.0),
+       log_depth=st.floats(-4.0, 1.0), below=st.floats(0.01, 4.0),
+       above=st.floats(0.01, 4.0))
+def test_feasible_lower_end_finds_doubly_exponential_boundary(
+        log_boundary, b, log_depth, below, above):
+    """g(x) = exp(-a x^-b) has the shape of R_M in Phi and the closed-form
+    boundary x* = (a / -ln level)^(1/b) of {g >= level}; levels run from
+    e^-10 to 0.9999.  The search returns a feasible point within 1e-11 of
+    x*, with 17 probes and at most 40 root-find evaluations."""
+    x_star = 10.0 ** log_boundary
+    depth = 10.0 ** log_depth  # -ln level
+    level = math.exp(-depth)
+    a = x_star ** b * depth
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        return math.exp(-a * x ** -b)
+
+    x = _feasible_lower_end(g, level, x_star / 10.0 ** below,
+                            x_star * 10.0 ** above)
+    assert g(x) >= level
+    assert x == pytest.approx(x_star, rel=1e-11)
+    assert calls <= 17 + 40
 
 
 def test_nonpositive_denominator_is_loud():

@@ -60,11 +60,15 @@ def test_evaluate_composes_module_functions():
 
 def test_meee_shortcut_equals_evaluate():
     """optimize_meee's ratio (evaluate's mEC over its power) is evaluate's
-    mEEE at the optimum, bit for bit."""
+    mEEE at the optimum, bit for bit: after the Dinkelbach loop (no floor)
+    and at the reliability boundary (the floor binds)."""
     sys_ = _system()
     cfg = DinkelbachConfig(lb=0.05, ub=100.0, inner_tol=1e-7, outer_tol=1e-9)
-    res = optimize_meee(sys_, PROFILE, 5.0, min_reliability=0.0, cfg=cfg)
-    assert res.value_star == sys_.evaluate(res.phi_star, PROFILE, 5.0).meee
+    for omega, at_boundary in ((0.0, False), (0.9999, True)):
+        res = optimize_meee(sys_, PROFILE, 5.0, min_reliability=omega,
+                            cfg=cfg)
+        assert (res.kappa_trace == (0.0, res.value_star)) == at_boundary
+        assert res.value_star == sys_.evaluate(res.phi_star, PROFILE, 5.0).meee
 
 
 def test_rate_cache_reuses_quadrature():
@@ -113,6 +117,14 @@ def test_optimize_meee_interior_peak():
                         min_reliability=0.0, cfg=cfg)
     assert res.feasible and res.converged
     assert cfg.lb < res.phi_star < cfg.ub
+    # the ratio rises off the lower end, so the boundary rule does not fire;
+    # the power model's idle-power regime warning is expected down there
+    step = cfg.lb * (1.0 + cfg.inner_tol)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "idle power", RuntimeWarning)
+        assert (sys_.evaluate(step, PROFILE, 5.0).meee
+                > sys_.evaluate(cfg.lb, PROFILE, 5.0).meee)
+    assert len(res.kappa_trace) > 2
     # local optimality against nearby evaluations
     for bump in (0.9, 1.1):
         assert (sys_.evaluate(res.phi_star * bump, PROFILE, 5.0).meee
@@ -128,6 +140,10 @@ def test_optimize_meee_respects_reliability_floor():
                         min_reliability=omega, cfg=cfg)
     assert res.feasible
     assert sys_.reliability(res.phi_star, 5.0) >= omega - 1e-12
+    # the boundary rule returns the lower end of the feasible set itself
+    assert res.kappa_trace == (0.0, res.value_star)
+    assert sys_.reliability(res.phi_star, 5.0) >= omega
+    assert sys_.reliability(res.phi_star * (1.0 - 1e-9), 5.0) < omega
     # the floor binds: unconstrained optimum sits below it
     free = optimize_meee(sys_, PROFILE, mission_duration=5.0,
                          min_reliability=0.0, cfg=cfg)
