@@ -13,9 +13,10 @@ found by a Brent-Dekker root-find of g - level between the last infeasible
 and the first feasible probe.  A grid on which g drops back below the level
 after a feasible probe raises.
 
-The ratio must be unimodal on the feasible interval, so a ratio that does
-not rise one inner-tolerance step above the lower end peaks there: that
-solve returns the lower end without running the outer loop.
+The ratio must be unimodal on the feasible interval, so a ratio that falls
+one inner-tolerance step above the lower end peaks there: that solve
+returns the lower end without running the outer loop.  A ratio that stays
+level there (an mEC that underflows to 0 at both points) runs the loop.
 """
 
 from __future__ import annotations
@@ -142,8 +143,10 @@ def _brent_boundary(h: Callable[[float], float], bad: float, h_bad: float,
             elif f_blk != f_pre:  # inverse quadratic
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
-                    d_blk * d_pre * (f_blk - f_pre))
+                den = d_blk * d_pre * (f_blk - f_pre)
+                if den != 0.0:  # a product of three small h values can underflow
+                    s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den
+        # a non-finite s_try fails this test, so the step bisects
         if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
             s_pre, s_cur = s_cur, s_try
         else:
@@ -206,8 +209,8 @@ def dinkelbach_maximize(f1: Callable[[float], float],
     non-decreasing, and the ratio f1/f2 is unimodal on the feasible
     interval [lb, ub].  Once lb is known, the ratio one step
     delta = lb inner_tol above it (inner_tol (ub - lb) when lb = 0) is
-    compared with the ratio at lb; if it does not rise, lb is the maximizer
-    and is returned with kappa_trace (0, value).  Otherwise kappa starts at
+    compared with the ratio at lb; if it falls, lb is the maximizer and is
+    returned with kappa_trace (0, value).  Otherwise kappa starts at
     0; each outer iteration solves the parametric problem by golden section
     and checks the residual |f1 - kappa f2| at the inner maximizer before
     updating.
@@ -228,7 +231,7 @@ def dinkelbach_maximize(f1: Callable[[float], float],
 
     value = ratio(lb)
     step = lb * cfg.inner_tol if lb > 0.0 else cfg.inner_tol * (ub - lb)
-    if ratio(min(lb + step, ub)) <= value:
+    if ratio(min(lb + step, ub)) < value:
         return OptResult(phi_star=lb, value_star=value,
                          kappa_trace=(0.0, value), feasible=True)
 

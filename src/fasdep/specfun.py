@@ -11,6 +11,10 @@ the test suite.  The inventory is exactly what the model needs:
 and two private array kernels the quadrature integrands call:
 ``_log_bessel_i_scaled_vec`` (conditional envelope densities) and
 ``_one_minus_marcum_q_fixed_b`` (conditional envelope CDFs 1 - Marcum Q, or Q).
+The Marcum kernel sums a Poisson mixture of gamma tables, whose cost grows
+as sqrt(y); where both Marcum arguments y and z reach the crossover
+``_LARGE_XI_MIN`` = 500 (and order^2) it switches to the Gil-Segura-Temme
+large-xi erfc expansion, whose cost does not depend on y.
 
 Math references in comments use standard handbook numbering (DLMF ch. 10,
 Numerical Recipes ch. 6).
@@ -38,6 +42,12 @@ _SQRT2 = math.sqrt(2.0)
 # truncation error, and the term budget before SeriesTruncationError
 _GAMMA_REL_TOL = 1e-12
 _GAMMA_MAX_TERMS = 500
+
+# Marcum kernel: y and z at or above this (and above order^2) take the
+# large-xi expansion, truncated after _LARGE_XI_TERMS terms
+_LARGE_XI_MIN = 500.0
+_LARGE_XI_TERMS = 12
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +250,11 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
     window centres on max(y, sqrt(y z)).  Rows run in sorted chunks of at
     most 128 whose centres span a few Poisson widths, so the window and
     the weight matrix track the local range.
+
+    Nodes with y and z both at or above max(_LARGE_XI_MIN, order^2) take
+    the large-xi expansion instead (_marcum_large_xi), whose cost does not
+    grow with y; the scalar z is tested first, so calls below the
+    crossover do no extra array work.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -252,7 +267,14 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
     if zero.any():
         gamma = reg_upper_inc_gamma if complement else reg_lower_inc_gamma
         out[zero] = gamma(order, z)
-    idx = np.nonzero(~zero)[0]
+    mix = ~zero
+    crossover = max(_LARGE_XI_MIN, order * order)
+    if z >= crossover:
+        large = y >= crossover
+        if large.any():
+            out[large] = _marcum_large_xi(order, y[large], z, complement)
+            mix &= ~large
+    idx = np.nonzero(mix)[0]
     order_of = idx[np.argsort(y[idx])]
     centre = y[order_of]
     if complement:
@@ -266,6 +288,94 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
                                        float(centre[hi - 1]), complement)
         lo = hi
     return out
+
+
+def _marcum_large_xi(order: float, y: np.ndarray, z: float,
+                     complement: bool) -> np.ndarray:
+    """1 - Q_order (or Q) by the large-xi expansion, cost independent of y.
+
+    Gil, Segura and Temme (ACM TOMS 40(3), 2014, sec. 3), after Temme
+    (1993): with xi = 2 sqrt(y z), sigma = (sqrt z - sqrt y)^2 / xi and
+    rho = sqrt(z / y),
+
+        S = sum_n (-1)^n rho^order / (2 sqrt(2 pi))
+                [A_n(order - 1) - A_n(order) / rho] sigma^(n - 1/2)
+                Gamma(1/2 - n, sigma xi),
+        A_0 = 1,  A_n(nu) = A_(n-1)(nu) (4 nu^2 - (2n - 1)^2) / (8n),
+
+    gives Q = S, 1 - Q = 1 - S for z >= y and 1 - Q = -S, Q = 1 + S for
+    z < y.  With t = sigma xi = (sqrt z - sqrt y)^2, each Gamma term is
+    carried scaled, g_n = Gamma(1/2 - n, t) e^t t^(n - 1/2), so the sum is
+    e^-t rho^order sqrt(xi) / (2 sqrt(2 pi)) sum_n c_n g_n with
+    c_n = (-1)^n [A_n(order - 1) - A_n(order) / rho] xi^-n.  Below t = 30
+    the g_n run forward from erfc, g_n = (1 - t g_(n-1)) / (n - 1/2), and
+    the n = 0 term is written out as sign(z - y) rho^(order - 1/2)
+    erfc(|sqrt z - sqrt y|) / 2, its sigma -> 0 limit included; above 30
+    forward recurrence loses digits, so a continued fraction gives the top
+    g_n and the recurrence runs backward.  t and e^-t are formed in long
+    double: at t near 700 a 1-ulp error in t alone would cost 1e-13.
+    """
+    yl = y.astype(np.longdouble)
+    d_l = (z - yl) / (np.sqrt(np.longdouble(z)) + np.sqrt(yl))
+    t_l = d_l * d_l
+    d = d_l.astype(float)
+    t = t_l.astype(float)
+    sqrt_z = math.sqrt(z)
+    xi = 2.0 * sqrt_z * np.sqrt(y)
+    inv_rho = np.sqrt(y / z)
+    scale = np.exp(0.5 * order * np.log(z / yl) - t_l).astype(float)
+    scale *= np.sqrt(xi) / (2.0 * math.sqrt(2.0 * math.pi))
+
+    a = []  # (A_n(order - 1), A_n(order)) for n = 1..N
+    a_lo = a_hi = 1.0
+    for n in range(1, _LARGE_XI_TERMS + 1):
+        a_lo *= (4.0 * (order - 1.0) ** 2 - (2 * n - 1) ** 2) / (8.0 * n)
+        a_hi *= (4.0 * order * order - (2 * n - 1) ** 2) / (8.0 * n)
+        a.append((a_lo, a_hi))
+    terms = np.empty((_LARGE_XI_TERMS + 1, y.size))
+    near = t < 30.0
+    if near.any():
+        terms[:, near] = _xi_terms_forward(d[near], t[near], sqrt_z)
+    if not near.all():
+        terms[:, ~near] = _xi_terms_backward(d[~near], t[~near], sqrt_z)
+    xi_pow = np.repeat((-1.0 / xi)[None, :], _LARGE_XI_TERMS, axis=0)
+    lo, hi = np.array(a).T @ (terms[1:] * xi_pow.cumprod(axis=0))
+    total = terms[0] + lo - hi * inv_rho
+    tail = scale * total
+    upper = d >= 0.0
+    if complement:
+        return np.where(upper, tail, 1.0 + tail)
+    return np.where(upper, 1.0 - tail, -tail)
+
+
+def _xi_terms_forward(d: np.ndarray, t: np.ndarray, sqrt_z: float) -> np.ndarray:
+    # rows: the n = 0 term c_0 g_0 = sign(d) sqrt(pi) erfcx(|d|) / sqrt z,
+    # then g_1..g_N by g_n = (1 - t g_(n-1)) / (n - 1/2); for t < 30
+    a = np.abs(d)
+    erfcx = _erfc(a).astype(float) * np.exp(t)
+    rows = [math.sqrt(math.pi) / sqrt_z * np.copysign(erfcx, d)]
+    t_g = math.sqrt(math.pi) * a * erfcx  # t g_0, finite at t = 0
+    for n in range(1, _LARGE_XI_TERMS + 1):
+        g = (1.0 - t_g) / (n - 0.5)
+        rows.append(g)
+        t_g = t * g
+    return np.array(rows)
+
+
+def _xi_terms_backward(d: np.ndarray, t: np.ndarray, sqrt_z: float) -> np.ndarray:
+    # same rows for t >= 30: g_N from the Legendre continued fraction of
+    # Gamma(s, t) e^t t^-s, evaluated bottom up, then
+    # g_(n-1) = (1 - (n - 1/2) g_n) / t
+    s = 0.5 - _LARGE_XI_TERMS
+    depth = 12  # levels that reach rounding error for t >= 30
+    frac = t + (2 * depth + 1) - s
+    for i in range(depth - 1, -1, -1):
+        frac = t + (2 * i + 1) - s - (i + 1) * (i + 1 - s) / frac
+    rows = [1.0 / frac]
+    for n in range(_LARGE_XI_TERMS, 0, -1):
+        rows.append((1.0 - (n - 0.5) * rows[-1]) / t)
+    rows[-1] *= d / sqrt_z
+    return np.array(rows[::-1])
 
 
 def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,

@@ -361,6 +361,39 @@ def test_optimize_infeasible_exit_3(capsys):
     assert row[columns.index("feasible")] == "0"
 
 
+def test_optimize_steps_off_a_flat_zero_ratio(capsys):
+    """At omega = 0 the feasible set starts at lb = 0.01, where R_M and so
+    mEC underflow to exactly 0 both at lb and one inner step above it.  A
+    level ratio is no fall, so the Dinkelbach loop runs and finds the
+    interior peak (a 200-point grid gives 0.22898 at 0.977)."""
+    code, out, _ = _run(capsys, "optimize", "--set", "run.omega=0",
+                        "--set", "channel.n_ports=2",
+                        "--set", "channel.aperture=0.03",
+                        "--set", "channel.m=5")
+    assert code == 0
+    _, columns, rows = _parse(out)
+    (row,) = rows
+    assert float(row[columns.index("phi_star")]) == pytest.approx(
+        0.959211, rel=1e-5)
+    assert float(row[columns.index("meee_star")]) == pytest.approx(
+        0.229069, rel=1e-5)
+    assert int(row[columns.index("outer_iters")]) > 1
+
+
+def test_optimize_boundary_search_survives_underflow(capsys):
+    """omega = 1e-200 puts the boundary search where R_M - omega is of
+    order 1e-200, so the inverse-quadratic denominator, a product of three
+    such differences, underflows to 0; the search bisects instead."""
+    code, out, _ = _run(capsys, "optimize", "--set", "run.omega=1e-200",
+                        "--set", "run.delta_t=1000")
+    assert code == 0
+    _, columns, rows = _parse(out)
+    (row,) = rows
+    assert float(row[columns.index("phi_star")]) == pytest.approx(
+        1.53572, rel=1e-5)
+    assert row[columns.index("feasible")] == "1"
+
+
 # ---------------------------------------------------------------------------
 # Simulate
 # ---------------------------------------------------------------------------

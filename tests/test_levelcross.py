@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fasdep import levelcross
+from fasdep import levelcross, specfun
 from fasdep.channel import FasChannel, max_cdf
 from fasdep.levelcross import (
     CrossingContext,
@@ -17,6 +17,8 @@ from fasdep.levelcross import (
     lcr_two_port_series,
     normalized_lcr,
 )
+
+import oracles
 
 # first positive root of J0 over 2 pi: a pair at this spacing decorrelates
 W_J0_ROOT = 2.404825557695773 / (2.0 * math.pi)
@@ -295,3 +297,30 @@ def test_context_validation():
         CrossingContext(channel=chan, doppler_hz=0.0, threshold=1.0)
     with pytest.raises(ValueError):
         CrossingContext(channel=chan, doppler_hz=10.0, threshold=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Dense apertures (|mu| -> 1)
+# ---------------------------------------------------------------------------
+
+def test_dense_apertures_approach_the_single_port_limit():
+    """N = 4, m = 2, x = 0.5 as the aperture shrinks from 1e-2 to 1e-4.
+
+    1 - mu^2 falls as W^2, so the conditional CDFs' Marcum arguments grow
+    to y, z ~ 2e7 at W = 1e-4, where a Poisson window would span about
+    7e4 terms per node.  Every rate pair completes, the CDF of the best port
+    rises toward the single-port F = P(2, 0.5) = 0.0902 as the ports merge,
+    and it matches the ncx2 oracle within the CDF quadrature's 1e-10."""
+    single = specfun.reg_lower_inc_gamma(2.0, 0.5)
+    cdfs = []
+    for w in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4):
+        chan = FasChannel(n_ports=4, aperture=w, nakagami_m=2.0)
+        cdf = max_cdf(chan, 0.5)
+        assert cdf == pytest.approx(1.0 - oracles.survival_ncx2(chan, 0.5),
+                                    abs=1e-10)
+        rates = failure_repair_rates(CrossingContext(chan, 10.0, 0.5))
+        assert rates.failure_rate > 0.0 and rates.repair_rate > 0.0
+        cdfs.append(cdf)
+    assert all(a < b for a, b in zip(cdfs, cdfs[1:]))
+    assert cdfs[-1] < single
+    assert single - cdfs[-1] < 2e-3

@@ -206,27 +206,32 @@ def test_non_interval_constraint_is_refused():
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(log_boundary=st.floats(-2.0, 4.0), b=st.floats(0.5, 6.0),
-       log_depth=st.floats(-4.0, 1.0), below=st.floats(0.01, 4.0),
-       above=st.floats(0.01, 4.0))
+       log_depth=st.floats(-4.0, math.log10(300.0 * math.log(10.0))),
+       below=st.floats(0.01, 4.0), above=st.floats(0.01, 4.0),
+       plateau=st.one_of(st.none(), st.floats(0.01, 1.0)))
 def test_feasible_lower_end_finds_doubly_exponential_boundary(
-        log_boundary, b, log_depth, below, above):
+        log_boundary, b, log_depth, below, above, plateau):
     """g(x) = exp(-a x^-b) has the shape of R_M in Phi and the closed-form
     boundary x* = (a / -ln level)^(1/b) of {g >= level}; levels run from
-    e^-10 to 0.9999.  The search returns a feasible point within 1e-11 of
-    x*, with 17 probes and at most 40 root-find evaluations."""
+    1e-300 to 0.9999, so g underflows to 0 below the boundary and
+    g - level is as small as 1e-300 near it.  When plateau is set, g is
+    exactly 0 below x* 10^-(plateau below) as well.  The search returns a
+    feasible point within 1e-11 of x*, with 17 probes and at most 40
+    root-find evaluations."""
     x_star = 10.0 ** log_boundary
     depth = 10.0 ** log_depth  # -ln level
     level = math.exp(-depth)
     a = x_star ** b * depth
+    lb = x_star / 10.0 ** below
+    floor = lb if plateau is None else x_star / 10.0 ** (plateau * below)
     calls = 0
 
     def g(x):
         nonlocal calls
         calls += 1
-        return math.exp(-a * x ** -b)
+        return math.exp(-a * x ** -b) if x >= floor else 0.0
 
-    x = _feasible_lower_end(g, level, x_star / 10.0 ** below,
-                            x_star * 10.0 ** above)
+    x = _feasible_lower_end(g, level, lb, x_star * 10.0 ** above)
     assert g(x) >= level
     assert x == pytest.approx(x_star, rel=1e-11)
     assert calls <= 17 + 40

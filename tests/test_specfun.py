@@ -221,6 +221,142 @@ def test_marcum_complement_edges():
 
 
 # ---------------------------------------------------------------------------
+# Marcum Q: the large-xi branch
+# ---------------------------------------------------------------------------
+
+LARGE_XI_ORDERS = (0.5, 1.0, 2.0, 4.0, 5.0, 7.5)
+
+
+def _marcum_pq(order, y, z):
+    """(1 - Q, Q) from the kernel at one node y."""
+    tail = specfun._one_minus_marcum_q_fixed_b
+    y = np.array([float(y)])
+    return tail(order, y, z)[0], tail(order, y, z, complement=True)[0]
+
+
+def _assert_pq_match(order, y, z, want):
+    got = _marcum_pq(order, y, z)
+    for side, g, w in zip(("1 - Q", "Q"), got, want):
+        assert abs(g - float(w)) <= 1e-13 * float(w), (order, y, z, side, g, w)
+
+
+def _deep(y, gap):
+    # z with sqrt z - sqrt y = gap: the small side is near e^-(gap^2)
+    return (math.sqrt(y) + gap) ** 2
+
+
+@pytest.mark.parametrize("order", LARGE_XI_ORDERS)
+def test_marcum_large_xi_against_mp_mixture(order):
+    """Both sides to 1e-13 relative from the crossover to y, z ~ 1e4,
+    against a 30-digit Poisson mixture; the smallest values lie between
+    1e-300 and 1e-290, where 1 - (1 - Q) has long rounded to 0."""
+    lo = specfun._LARGE_XI_MIN
+    points = [(lo, lo), (lo, 3.0 * lo), (1.04 * lo, 1.28 * lo),
+              (3000.0, 2500.0), (4000.0, _deep(4000.0, 26.0)),
+              (8000.0, _deep(8000.0, -26.0))]
+    smallest = 1.0
+    for y, z in points:
+        want = oracles.marcum_pq_mixture_mp(order, y, z)
+        smallest = min(smallest, float(min(want)))
+        _assert_pq_match(order, y, z, want)
+    assert 1e-300 < smallest < 1e-290
+
+
+@pytest.mark.parametrize("order,y,z", [
+    (0.5, 1e9, 1e9), (1.0, 1e9, _deep(1e9, -20.0)), (2.0, 1e6, _deep(1e6, 3.0)),
+    (4.0, 1e8, _deep(1e8, -1.0)), (5.0, 1e9, _deep(1e9, 9.5)),
+    (7.5, 2e7, _deep(2e7, 25.0)), (7.5, 1e9, 1e9 - 4e4),
+])
+def test_marcum_large_xi_far_out_against_mp_integral(order, y, z):
+    """Up to y, z = 1e9, where the Poisson window would span 5e5 terms
+    per node, against the defining integral in mpmath; values down to
+    4e-274."""
+    _assert_pq_match(order, y, z, oracles.marcum_pq_integral_mp(order, y, z))
+
+
+def test_marcum_oracles_agree():
+    """The integral oracle reproduces the mixture oracle, deep tails too."""
+    for order, y, z in ((5.0, 600.0, 700.0), (2.0, 8000.0, _deep(8000.0, -20.0)),
+                        (7.5, 4000.0, _deep(4000.0, 22.0))):
+        mix = oracles.marcum_pq_mixture_mp(order, y, z)
+        quad = oracles.marcum_pq_integral_mp(order, y, z)
+        for a, b in zip(mix, quad):
+            assert abs(a - b) <= 1e-25 * abs(a)
+
+
+@pytest.mark.parametrize("order", LARGE_XI_ORDERS)
+def test_marcum_large_xi_continuous_at_crossover(order):
+    """Nodes one ulp either side of the crossover take different paths
+    (mixture below, expansion at and above) and agree on both sides; so
+    do thresholds z one ulp either side of it.  The jump is the mixture's
+    own error: relative 1e-12 near 1/2, and an absolute floor of a few
+    1e-13 on the 1 - Q side where y > z.  At y = 600, z = 500, where 1 - Q
+    is about 1e-3, the mixture sits 4e-11 to 3e-10 off the mpmath oracle
+    (orders 0.5 to 7.5) and the expansion 1e-15 off."""
+    tail = specfun._one_minus_marcum_q_fixed_b
+    lo = specfun._LARGE_XI_MIN
+    below = np.nextafter(lo, 0.0)
+    for complement in (False, True):
+        for z in (lo, 1.3 * lo, 3.0 * lo):
+            pair = tail(order, np.array([below, lo]), z, complement)
+            np.testing.assert_allclose(pair[0], pair[1], rtol=1e-12, atol=5e-13)
+        y = np.array([lo, 1.2 * lo])
+        np.testing.assert_allclose(tail(order, y, below, complement),
+                                   tail(order, y, lo, complement),
+                                   rtol=1e-12, atol=5e-13)
+
+
+def test_marcum_large_xi_range_and_monotone():
+    """Random nodes on the branch, z from the crossover to 1e9, y within a
+    factor 2 of z, orders 0.5 to 20: both sides stay in [0, 1], sum to 1,
+    and move the right way in y, z and the order."""
+    tail = specfun._one_minus_marcum_q_fixed_b
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        order = float(rng.uniform(0.5, 20.0))
+        lo = max(specfun._LARGE_XI_MIN, order * order)
+        z = float(lo * 10.0 ** rng.uniform(0.3, math.log10(1e9 / lo)))
+        y = np.sort(z * 10.0 ** rng.uniform(-0.3, 0.3, size=8))
+        cdf, q = tail(order, y, z), tail(order, y, z, complement=True)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0) & (q >= 0.0) & (q <= 1.0))
+        assert np.all(np.abs(cdf + q - 1.0) <= 5e-16)
+        assert np.all(np.diff(cdf) <= 0.0) and np.all(np.diff(q) >= 0.0)
+        assert np.all(tail(order, y, 1.001 * z) >= cdf)
+        assert np.all(tail(order + 0.5, y, z) <= cdf)
+
+
+def test_marcum_large_arguments_never_reach_the_mixture(monkeypatch):
+    """y = z = 1e8 would need a 1.6e5-term Poisson window; the expansion
+    answers with the mixture switched off."""
+    def refuse(*args):
+        raise AssertionError("Poisson mixture called")
+
+    monkeypatch.setattr(specfun, "_poisson_mix_chunk", refuse)
+    y = np.array([1e8, 1e8 + 1e4, 2e8])
+    for order in (0.5, 5.0):
+        cdf = specfun._one_minus_marcum_q_fixed_b(order, y, 1e8)
+        q = specfun._one_minus_marcum_q_fixed_b(order, y, 1e8, complement=True)
+        np.testing.assert_allclose(cdf + q, 1.0, rtol=0.0, atol=1e-15)
+        assert 0.4 < cdf[0] <= 0.5 and cdf[2] == 0.0
+        assert np.all(np.diff(cdf) < 0.0)
+
+
+def test_marcum_small_threshold_skips_the_expansion(monkeypatch):
+    """The branch needs z at the crossover and order^2 below z: a smaller
+    z, or an order too large for the truncated series, keeps every node on
+    the mixture however large y is."""
+    def refuse(*args):
+        raise AssertionError("large-xi expansion called")
+
+    monkeypatch.setattr(specfun, "_marcum_large_xi", refuse)
+    lo = specfun._LARGE_XI_MIN
+    y = np.array([0.5 * lo, 2.0 * lo, 4.0 * lo])
+    specfun._one_minus_marcum_q_fixed_b(2.0, y, np.nextafter(lo, 0.0))
+    big_order = math.sqrt(1.5 * lo)
+    specfun._one_minus_marcum_q_fixed_b(big_order, y, 1.2 * lo)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian tail and inverse
 # ---------------------------------------------------------------------------
 
