@@ -42,6 +42,10 @@ __all__ = [
 _CDF_ABS_TOL = 1e-10
 _CDF_REL_TOL = 1e-8
 _CDF_MAX_SUBDIV = 2000
+# The two-port gamma series (here and in levelcross) stop at a term below
+# this share of the running sum, and give up after this many terms.
+_SERIES_REL_TOL = 1e-14
+_SERIES_MAX_TERMS = 500
 
 
 def spatial_correlation(k: int, n_ports: int, aperture: float) -> float:
@@ -237,9 +241,7 @@ def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
     """CDF of the selected (best-port) envelope at x_th, and 1 minus it.
 
     The smaller side is computed and the other taken as 1 minus it; above
-    the median that is the survival, accurate deep into the tail.  Where
-    the union bound N Q(m, m x^2/s2) < 1/2 already puts the survival on the
-    smaller side, the CDF integral is skipped.
+    the median that is the survival, accurate deep into the tail.
     """
     if x_th < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {x_th}")
@@ -253,10 +255,9 @@ def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
     x_th = float(x_th)
     uppers = (x_th,) * len(chan.mu)
-    if chan.n_ports * specfun.reg_upper_inc_gamma(m, z) >= 0.5:
-        cdf = _cdf_quad(chan, x_th, uppers)
-        if cdf <= 0.5:
-            return cdf, 1.0 - cdf
+    cdf = _cdf_quad(chan, x_th, uppers)
+    if cdf <= 0.5:
+        return cdf, 1.0 - cdf
     survival = _cdf_quad(chan, x_th, uppers, complement=True)
     return 1.0 - survival, survival
 
@@ -272,7 +273,7 @@ def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float) -> float:
     Series form: (1-mu^2)^m / Gamma(m) * sum_k mu^(2k)
     gamma(m+k, Z1) gamma(m+k, Z2) / (k! Gamma(m+k)) with
     Z_i = m x_i^2 / (s2 (1-mu^2)).  Terms accumulate in log space; the sum
-    stops once the last term falls below 1e-14 of the total.
+    stops once the last term falls below _SERIES_REL_TOL of the total.
     """
     if chan.n_ports != 2:
         raise ValueError(f"two-port channel required, got N={chan.n_ports}")
@@ -295,8 +296,7 @@ def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float) -> float:
     # log of mu^(2k) Gamma(m+k) P(m+k,Z1) P(m+k,Z2) / k!
     total = -math.inf
     prev = -math.inf
-    max_terms = 500
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         p1 = specfun.reg_lower_inc_gamma(m + k, z1)
         p2 = specfun.reg_lower_inc_gamma(m + k, z2)
         if p1 <= 0.0 or p2 <= 0.0:
@@ -304,13 +304,13 @@ def bivariate_cdf_series(chan: FasChannel, x1: float, x2: float) -> float:
         lt = (k * lmu2 + math.lgamma(m + k) - math.lgamma(k + 1.0)
               + math.log(p1) + math.log(p2))
         total = _logaddexp(total, lt)
-        if lt < total + math.log(1e-14) and lt < prev:
+        if lt < total + math.log(_SERIES_REL_TOL) and lt < prev:
             break
         prev = lt
     else:
         raise SeriesTruncationError(
-            f"bivariate CDF series needed more than {max_terms} terms "
-            f"(mu={mu}, x=({x1}, {x2}))")
+            f"bivariate CDF series needed more than {_SERIES_MAX_TERMS} "
+            f"terms (mu={mu}, x=({x1}, {x2}))")
     value = math.exp(m * math.log(om) - math.lgamma(m) + total)
     return min(max(value, 0.0), 1.0)
 

@@ -144,13 +144,13 @@ class Sweep:
     stop: float
     points: int
     scale: str   # linear | db | log
+    # a grid no scale describes, given point by point (figure presets only)
+    values: Tuple[float, ...] = ()
 
     def grid(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
+        if self.values:
+            return np.array(self.values)
         if self.scale == "log":
-            if self.start <= 0 or self.stop <= 0:
-                raise SpecError("log sweeps need positive endpoints")
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
@@ -176,6 +176,8 @@ def _parse_sweep(text: str) -> Sweep:
         raise SpecError(f"bad sweep spec {text!r}: {exc}") from exc
     if sw.points < 1:
         raise SpecError("sweep needs at least one point")
+    if scale == "log" and min(sw.start, sw.stop) <= 0:
+        raise SpecError("log sweeps need positive endpoints")
     if var == "phi" and scale == "linear" and min(sw.start, sw.stop) <= 0:
         raise SpecError("linear phi sweeps need positive endpoints; "
                         "give the SNR in dB with a :db scale")
@@ -291,10 +293,7 @@ def _sweep_params(spec: ExperimentSpec):
     linear_phi = sweep.var == "phi" and sweep.scale != "db"
     for v in sweep.grid():
         v = float(v)
-        x = v
-        if sweep.var == "phi":
-            x = 10.0 * math.log10(10.0 ** (v / 10.0) if sweep.scale == "db"
-                                  else v)
+        x = 10.0 * math.log10(v) if linear_phi else v
         p = dataclasses.replace(spec.params, **{_SWEEP_ATTRS[sweep.var]: x})
         # a linear or log phi grid holds phi itself, not a trip through dB
         yield v, p, v if linear_phi else 10.0 ** (p.phi_db / 10.0)
@@ -387,10 +386,11 @@ def _run_mission(spec: ExperimentSpec) -> ResultSet:
         profile = _profile_of(p)
         with warnings.catch_warnings():
             if spec.command != "meee":
-                # these commands print no power, so its regime warning is noise
+                # these commands print no power, so its regime warning is
+                # noise and the arrival cap's mode cannot fail them
                 warnings.filterwarnings("ignore", "idle power", RuntimeWarning)
-            point = system.evaluate(phi, profile, p.delta_t,
-                                    rmax_mode=spec.rmax_mode)
+            point = system.evaluate(phi, profile, p.delta_t, rmax_mode=(
+                spec.rmax_mode if spec.command == "meee" else "derived"))
         rows.append([v] + [getattr(point, f) for _, f in fields])
     return _table(spec, [c for c, _ in fields], rows)
 
@@ -413,7 +413,9 @@ def _run_optimize(spec: ExperimentSpec) -> ResultSet:
     return _table(spec, columns, rows, all_feasible)
 
 
-def _run_simulate(spec: ExperimentSpec) -> ResultSet:
+def _run_simulate(spec: ExperimentSpec, trial: int = 0,
+                  n_trials: int = 1) -> ResultSet:
+    """The sweep on one trace, trial `trial` of `n_trials` from the seed."""
     points = list(_sweep_params(spec))
     cache: Dict[tuple, MissionSystem] = {}
     thresholds = [_threshold(spec, p, phi, cache) for _, p, phi in points]
@@ -423,8 +425,9 @@ def _run_simulate(spec: ExperimentSpec) -> ResultSet:
     sample_rate = p0.sample_rate_factor * p0.doppler
     cfg = SimConfig(chan=chan, doppler=p0.doppler, sample_rate=sample_rate,
                     duration=float(p0.samples) / sample_rate,
-                    n_oscillators=p0.n_oscillators, seed=spec.seed)
-    scan = scan_crossings(cfg, thresholds)
+                    n_oscillators=p0.n_oscillators, seed=spec.seed,
+                    n_trials=n_trials)
+    scan = scan_crossings(cfg, thresholds, trial=trial)
     if spec.dump_trace:
         small = dataclasses.replace(cfg, duration=min(cfg.duration,
                                                       4096 / sample_rate))
@@ -441,134 +444,80 @@ def _run_simulate(spec: ExperimentSpec) -> ResultSet:
 
 
 # ---------------------------------------------------------------------------
-# Figure presets: each fixes its geometry on top of the run's parameters and
-# builds its systems through _fresh_system, so both mode flags reach it
+# Figure presets: each runs one command once per geometry, on top of the
+# run's parameters, and joins the columns it plots
 # ---------------------------------------------------------------------------
 
-def _figure_fig2(spec: ExperimentSpec) -> ResultSet:
-    p = spec.params
-    grid = np.linspace(-5.0, 30.0, 36)
-    profile = _profile_of(p)
-    cache: Dict[tuple, MissionSystem] = {}
-    columns = ["phi_db"]
-    series = []
-    for n in (1, 2, 4):
-        geometry = dataclasses.replace(p, n_ports=n, aperture=0.3,
-                                       nakagami_m=2.0)
-        system = _fresh_system(spec, geometry, 1.0, cache)
-        series.append([system.evaluate(10.0 ** (db / 10.0), profile, p.delta_t,
-                                       rmax_mode=spec.rmax_mode).meee
-                       for db in grid])
-        columns.append(f"meee_n{n}")
-    rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
-    head = _param_header(spec) + [("figure.aperture", 0.3), ("figure.m", 2.0)]
-    return ResultSet(head, columns, rows)
+def _by_ports(**fixed) -> Tuple[Tuple[str, Dict[str, object]], ...]:
+    return tuple((f"n{n}", dict(fixed, n_ports=n)) for n in (1, 2, 4))
 
 
-def _figure_fig3(spec: ExperimentSpec) -> ResultSet:
-    p = spec.params
-    grid = np.linspace(0.0, 30.0, 7)
-    layouts = [("n1", 1, 0.0), ("n2w05", 2, 0.5), ("n4w03", 4, 0.3)]
-    cache: Dict[tuple, MissionSystem] = {}
-    columns = ["phi_db"]
-    data = []
-    sample_rate = p.sample_rate_factor * p.doppler
-    for idx, (tag, n, w) in enumerate(layouts):
-        geometry = dataclasses.replace(p, n_ports=n, aperture=w,
-                                       nakagami_m=1.0, rate=1.0)
-        system = _fresh_system(spec, geometry, 1.0, cache)
-        chan = system.channel
-        ths = [system.threshold(10.0 ** (db / 10.0)) for db in grid]
-        analytic = [normalized_lcr(CrossingContext(chan, p.doppler, th))
-                    for th in ths]
-        cfg = SimConfig(chan=chan, doppler=p.doppler, sample_rate=sample_rate,
-                        duration=float(p.samples) / sample_rate,
-                        n_oscillators=p.n_oscillators, seed=spec.seed,
-                        n_trials=len(layouts))
-        scan = scan_crossings(cfg, ths, trial=idx)
-        sim = [scan.nlcr(i, p.doppler) for i in range(len(ths))]
-        data.extend([analytic, sim])
-        columns.extend([f"nlcr_{tag}", f"nlcr_sim_{tag}"])
-    rows = [[grid[i]] + [col[i] for col in data] for i in range(grid.size)]
-    head = _param_header(spec) + [("figure.m", 1.0), ("figure.rate", 1.0)]
-    return ResultSet(head, columns, rows)
+_OPTIMIZED = (("phi_star_db", "phi_star_db"), ("meee_star", "meee"))
 
-
-def _figure_fig4(spec: ExperimentSpec) -> ResultSet:
-    p = spec.params
-    grid = np.linspace(1.0, 20.0, 20)
+# preset -> (command, sweep, (column tag, RunParams overrides) per curve,
+#            (command column, figure column stem) printed as <stem>_<tag>,
+#            figure.* header entries)
+_FIGURES = {
+    "fig2": ("meee", Sweep("phi", -5.0, 30.0, 36, "db"),
+             _by_ports(aperture=0.3, nakagami_m=2.0), (("meee", "meee"),),
+             (("figure.aperture", 0.3), ("figure.m", 2.0))),
+    # each layout is its own Monte Carlo trial of one seed; the threshold
+    # follows the link at every SNR, whatever run.threshold says
+    "fig3": ("simulate", Sweep("phi", 0.0, 30.0, 7, "db"),
+             tuple((tag, dict(n_ports=n, aperture=w, nakagami_m=1.0, rate=1.0,
+                              threshold=None))
+                   for tag, n, w in (("n1", 1, 0.0), ("n2w05", 2, 0.5),
+                                     ("n4w03", 4, 0.3))),
+             (("nlcr_analytic", "nlcr"), ("nlcr_sim", "nlcr_sim")),
+             (("figure.m", 1.0), ("figure.rate", 1.0))),
     # pinned at 0 dB: the N=2 curves then decay visibly over 1..20 s while
     # the N=4 ones stay high; larger SNR flattens everything against 1
-    phi = 1.0
-    cache: Dict[tuple, MissionSystem] = {}
-    columns = ["delta_t"]
-    series = []
-    for n, w in [(n, w) for n in (2, 4) for w in (0.25, 0.5)]:
-        geometry = dataclasses.replace(p, n_ports=n, aperture=w,
-                                       nakagami_m=2.0)
-        system = _fresh_system(spec, geometry, phi, cache)
-        series.append([system.reliability(phi, dt) for dt in grid])
-        columns.append(f"rm_n{n}w{str(w).replace('.', '')}")
-    rows = [[grid[i]] + [s[i] for s in series] for i in range(grid.size)]
-    head = _param_header(spec) + [("figure.m", 2.0), ("figure.phi_db", 0.0)]
-    return ResultSet(head, columns, rows)
-
-
-def _optimized_sweep(spec: ExperimentSpec, var: str, grid: Sequence[float],
-                     m: float, aperture: float) -> ResultSet:
-    """Optimized mEEE at N = 1, 2, 4 as the sweep variable `var` moves."""
-    columns = [var]
-    cache: Dict[tuple, MissionSystem] = {}
-    series = []
-    all_feasible = True
-    for n in (1, 2, 4):
-        base = dataclasses.replace(spec.params, n_ports=n, aperture=aperture,
-                                   nakagami_m=m)
-        system = _fresh_system(spec, base, 1.0, cache)
-        stars, vals = [], []
-        for v in grid:
-            p = dataclasses.replace(base, **{_SWEEP_ATTRS[var]: float(v)})
-            res = optimize_meee(system, _profile_of(p), p.delta_t, p.omega,
-                                rmax_mode=spec.rmax_mode)
-            all_feasible &= res.feasible
-            stars.append(10.0 * math.log10(res.phi_star)
-                         if res.feasible else math.nan)
-            vals.append(res.value_star)
-        series.extend([stars, vals])
-        columns.extend([f"phi_star_db_n{n}", f"meee_n{n}"])
-    rows = [[float(grid[i])] + [s[i] for s in series]
-            for i in range(len(grid))]
-    head = _param_header(spec) + [("figure.m", m), ("figure.aperture", aperture)]
-    return ResultSet(head, columns, rows, all_feasible=all_feasible)
-
-
-def _figure_fig5(spec: ExperimentSpec) -> ResultSet:
-    return _optimized_sweep(spec, "delta_t", np.linspace(1.0, 20.0, 20),
-                            m=5.0, aperture=0.03)
-
-
-def _figure_fig6(spec: ExperimentSpec) -> ResultSet:
+    "fig4": ("reliability", Sweep("delta_t", 1.0, 20.0, 20, "linear"),
+             tuple((f"n{n}w{str(w).replace('.', '')}",
+                    dict(n_ports=n, aperture=w, nakagami_m=2.0, phi_db=0.0))
+                   for n in (2, 4) for w in (0.25, 0.5)),
+             (("r_m", "rm"),), (("figure.m", 2.0), ("figure.phi_db", 0.0))),
+    "fig5": ("optimize", Sweep("delta_t", 1.0, 20.0, 20, "linear"),
+             _by_ports(aperture=0.03, nakagami_m=5.0), _OPTIMIZED,
+             (("figure.m", 5.0), ("figure.aperture", 0.03))),
     # sweep starts where the buffer constraint is active: below theta ~0.026
     # the reliability-clamped capacity is flat while the load-proportional
     # power still falls, so efficiency creeps up by ~3e-4 before turning over
-    return _optimized_sweep(spec, "theta", np.geomspace(0.05, 1.0, 13),
-                            m=5.0, aperture=0.03)
-
-
-def _figure_fig7(spec: ExperimentSpec) -> ResultSet:
-    return _optimized_sweep(spec, "omega", (0.9, 0.99, 0.999, 0.9999, 0.99999),
-                            m=4.0, aperture=0.03)
+    "fig6": ("optimize", Sweep("theta", 0.05, 1.0, 13, "log"),
+             _by_ports(aperture=0.03, nakagami_m=5.0), _OPTIMIZED,
+             (("figure.m", 5.0), ("figure.aperture", 0.03))),
+    # one more nine per point: no linear, log or dB grid holds these
+    "fig7": ("optimize", Sweep("omega", 0.9, 0.99999, 5, "linear", values=(
+                 0.9, 0.99, 0.999, 0.9999, 0.99999)),
+             _by_ports(aperture=0.03, nakagami_m=4.0), _OPTIMIZED,
+             (("figure.m", 4.0), ("figure.aperture", 0.03))),
+}
 
 
 def _run_figure(spec: ExperimentSpec) -> ResultSet:
-    runners = {"fig2": _figure_fig2, "fig3": _figure_fig3,
-               "fig4": _figure_fig4, "fig5": _figure_fig5,
-               "fig6": _figure_fig6, "fig7": _figure_fig7}
     if not spec.preset:
         raise SpecError("figure requires --preset fig2..fig7")
-    if spec.preset not in runners:
+    if spec.preset not in _FIGURES:
         raise SpecError(f"unknown figure preset {spec.preset!r}")
-    return runners[spec.preset](spec)
+    command, sweep, geometries, kept, header = _FIGURES[spec.preset]
+    columns, rows, all_feasible = [], [], True
+    for trial, (tag, overrides) in enumerate(geometries):
+        sub = dataclasses.replace(
+            spec, command=command, sweep=sweep,
+            params=dataclasses.replace(spec.params, **overrides))
+        res = (_run_simulate(sub, trial, len(geometries))
+               if command == "simulate" else run(sub))
+        all_feasible &= res.all_feasible
+        if not rows:  # the sweep column, shared by every geometry
+            columns.append(res.columns[0])
+            rows = [[r[0]] for r in res.rows]
+        for col, stem in kept:
+            j = res.columns.index(col)
+            columns.append(f"{stem}_{tag}")
+            for row, r in zip(rows, res.rows):
+                row.append(r[j])
+    return ResultSet(_param_header(spec) + list(header), columns, rows,
+                     all_feasible)
 
 
 # ---------------------------------------------------------------------------

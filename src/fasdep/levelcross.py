@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import (FasChannel, _conditional_cdfs, _logaddexp,
-                      marginal_pdf, max_cdf_and_survival)
+from .channel import (_SERIES_MAX_TERMS, _SERIES_REL_TOL, FasChannel,
+                      _conditional_cdfs, _logaddexp, marginal_pdf,
+                      max_cdf_and_survival)
 from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_gk
 
@@ -165,14 +166,13 @@ def lcr_iid(ctx: CrossingContext) -> float:
     return ctx.doppler_hz * math.exp(lg)
 
 
-def lcr_two_port_series(ctx: CrossingContext,
-                        rel_tol: float = 1e-14, max_terms: int = 500) -> float:
+def lcr_two_port_series(ctx: CrossingContext) -> float:
     """Two-port crossing rate by its single-sum gamma series.
 
     The sum runs over even powers of the correlation; each term carries the
     regularized lower gamma P(m+k, Z) with Z = m x^2/(s2 (1-mu^2)), so the
     Gamma(m+k) factors cancel and the accumulation stays in log space.
-    Stops when the latest term drops below rel_tol of the running sum.
+    Stops once the latest term drops below _SERIES_REL_TOL of the sum.
     """
     chan = ctx.channel
     if chan.n_ports != 2:
@@ -198,20 +198,20 @@ def lcr_two_port_series(ctx: CrossingContext,
 
     total = -math.inf
     prev = math.inf
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         p = specfun.reg_lower_inc_gamma(m + k, z)
         if p <= 0.0:
             break
         lt = (k * lmu2 + (2.0 * k + m - 1.0) * lx + (k - 1.0) * lkap
               - math.lgamma(k + 1.0) + math.log(p))
         total = _logaddexp(total, lt)
-        if lt < total + math.log(rel_tol) and lt < prev:
+        if lt < total + math.log(_SERIES_REL_TOL) and lt < prev:
             break
         prev = lt
     else:
         raise SeriesTruncationError(
-            f"two-port crossing series needed more than {max_terms} terms "
-            f"(mu={mu}, x_th={x})", partial=total)
+            f"two-port crossing series needed more than {_SERIES_MAX_TERMS} "
+            f"terms (mu={mu}, x_th={x})", partial=total)
 
     lead = (0.5 * math.log(2.0 * math.pi) + math.log(2.0)
             + (m + 0.5) * math.log(m) + m * lx - z

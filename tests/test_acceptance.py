@@ -24,7 +24,6 @@ from scipy import special, stats
 import oracles
 from fasdep import qos, specfun
 from fasdep.channel import FasChannel, max_cdf
-from fasdep.cli import main as cli_main
 from fasdep.dependability import (
     FblLink,
     fbl_threshold_eta,
@@ -377,9 +376,8 @@ def test_optimizer_matches_grid_search():
 # Figure presets: trend families from the emitted CSVs
 # ---------------------------------------------------------------------------
 
-def _read_csv(path):
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip()]
+def _read_csv(text):
+    lines = [l.strip() for l in text.splitlines() if l.strip()]
     body = [l for l in lines if not l.startswith("#")]
     cols = body[0].split(",")
     data = np.array([[float(v) for v in row.split(",")] for row in body[1:]])
@@ -387,17 +385,15 @@ def _read_csv(path):
 
 
 @pytest.fixture(scope="module")
-def figure_csvs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("figures")
+def figure_csvs(golden_run):
+    """The presets' CSVs, from the session's golden runs (one run each)."""
     out = {}
     total = 0.0
     for preset in ("fig2", "fig4", "fig6", "fig7"):
-        path = base / f"{preset}.csv"
-        t0 = time.perf_counter()
-        code = cli_main(["figure", "--preset", preset, "--out", str(path)])
-        total += time.perf_counter() - t0
+        code, text, seconds = golden_run(preset)
+        total += seconds
         assert code == 0, f"{preset} exited {code}"
-        out[preset] = _read_csv(path)
+        out[preset] = _read_csv(text)
     out["elapsed"] = total
     return out
 

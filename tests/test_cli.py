@@ -112,11 +112,15 @@ def test_sweep_variable_must_reach_command(capsys):
     "threshold:0.5:1.5:5:db",       # dB reserved for phi
     "phi:0:10:0:db",                # empty grid
     "theta:0:1:5:log",              # log needs positive endpoints
+    "phi:0:10:1:log",               # ... at any point count
 ])
 def test_sweep_spec_errors(capsys, text):
+    """Each spec is refused while parsing, before any computation."""
     cmd = "mec" if text.startswith(("phi", "theta")) else "lcr"
     code, _, err = _run(capsys, cmd, "--sweep", text)
     assert code == 1 and err.startswith("fasdep:")
+    with pytest.raises(cli.SpecError):
+        cli._parse_sweep(text)
 
 
 def test_linear_phi_sweep_prints_its_grid_once(capsys):
@@ -290,6 +294,18 @@ def test_rmax_mode_paper(capsys):
     assert float(rows[0][columns.index("rmax")]) > 0.0
 
 
+@pytest.mark.parametrize("command", ["reliability", "mec"])
+def test_rmax_mode_skips_commands_that_print_no_power(capsys, command):
+    """Commands that print no arrival cap print the same rows in either
+    mode, even where the paper's cap would be a domain error."""
+    argv = (command, "--sweep", "phi:10:10:1:db") + CHEAP
+    code, derived, _ = _run(capsys, *argv)
+    assert code == 0
+    code, paper, _ = _run(capsys, *argv, "--rmax-mode", "paper")
+    assert code == 0
+    assert _parse(paper)[1:] == _parse(derived)[1:]
+
+
 def test_afd_far_above_envelope_scale(capsys):
     """The crossing rate underflows to 0 at thresholds 20-60; the sweep
     must report a link that stays down, not die dividing by it."""
@@ -436,9 +452,9 @@ def test_simulate_rejects_foreign_sweep(capsys):
 # Figure and validate presets
 # ---------------------------------------------------------------------------
 
-def test_figure_fig4_trends(capsys):
+def test_figure_fig4_trends(golden_run):
     """Mission reliability falls with duration, rises with ports/aperture."""
-    code, out, _ = _run(capsys, "figure", "--preset", "fig4")
+    code, out, _ = golden_run("fig4")
     assert code == 0
     header, columns, rows = _parse(out)
     assert header["preset"] == "fig4"
@@ -450,6 +466,20 @@ def test_figure_fig4_trends(capsys):
         assert np.all(np.diff(grid[:, j]) < 0.0)
     assert np.all(grid[:, 3] > grid[:, 1])  # more ports help
     assert np.all(grid[:, 2] > grid[:, 1])  # wider aperture helps
+
+
+def test_figure_columns_are_their_command_columns(capsys, golden_run):
+    """fig2's N=1 curve is the default `meee` sweep on its geometry, to the
+    last digit: a dB grid value is the SNR itself in both."""
+    code, fig, _ = golden_run("fig2")
+    assert code == 0
+    _, columns, rows = _parse(fig)
+    code, out, _ = _run(capsys, "meee", "--set", "channel.n_ports=1",
+                        "--set", "channel.aperture=0.3")
+    assert code == 0
+    _, meee_columns, meee_rows = _parse(out)
+    assert ([r[columns.index("meee_n1")] for r in rows]
+            == [r[meee_columns.index("meee")] for r in meee_rows])
 
 
 def test_figure_presets_honour_threshold_mode(capsys):
@@ -466,8 +496,8 @@ def test_figure_presets_honour_threshold_mode(capsys):
     assert fig[columns.index("meee_n2")] == row[meee_columns.index("meee")]
 
 
-def test_validate_quick_reports_all_pass(capsys):
-    code, out, _ = _run(capsys, "validate", "--preset", "quick")
+def test_validate_quick_reports_all_pass(golden_run):
+    code, out, _ = golden_run("validate-quick")
     assert code == 0
     lines = out.splitlines()
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
