@@ -21,8 +21,7 @@ from .levelcross import (CrossingContext, RatePair, afd, anfd,
                          failure_repair_rates, lcr, lcr_iid,
                          lcr_two_port_series, normalized_lcr)
 from .mcsim import (CrossingScan, FadingTrace, SimConfig, empirical_afd,
-                    empirical_cdf, empirical_lcr,
-                    empirical_mission_reliability, export_trace,
+                    empirical_cdf, empirical_lcr, export_trace,
                     generate_fading, scan_crossings)
 from .optimize import (DinkelbachConfig, OptResult, dinkelbach_maximize,
                        golden_section_max)
@@ -47,7 +46,7 @@ __all__ = [
     "MissionPoint", "MissionSystem", "optimize_meee",
     "SimConfig", "FadingTrace", "CrossingScan", "generate_fading",
     "scan_crossings", "empirical_lcr", "empirical_afd", "empirical_cdf",
-    "empirical_mission_reliability", "export_trace",
+    "export_trace",
     "FasdepError", "SeriesTruncationError", "QuadratureError",
     "NoCrossingError",
 ]

@@ -110,9 +110,12 @@ def _assign(params: RunParams, text: str, where: str) -> None:
         raise SpecError(f"{where}: unknown key {key!r}")
     attr, cast = _KEYMAP[key]
     try:
-        setattr(params, attr, cast(val))
+        value = cast(val)
     except ValueError as exc:
         raise SpecError(f"{where}: bad value for {key}: {val!r}") from exc
+    if not math.isfinite(value):
+        raise SpecError(f"{where}: {key} must be finite, got {val!r}")
+    setattr(params, attr, value)
 
 
 def _load_config(params: RunParams, path: str) -> None:

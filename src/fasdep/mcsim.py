@@ -30,7 +30,6 @@ analytic-only.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -48,7 +47,6 @@ __all__ = [
     "empirical_lcr",
     "empirical_afd",
     "empirical_cdf",
-    "empirical_mission_reliability",
     "export_trace",
 ]
 
@@ -232,11 +230,10 @@ def scan_crossings(cfg: SimConfig, thresholds: Sequence[float],
         stop = min(start + _BLOCK, t_total)
         best = osc.envelopes(start, stop - start).max(axis=0)
         for i, th in enumerate(ths):
-            under = best < th
-            below[i] += int(under.sum())
-            crossings[i] += int(np.count_nonzero(~under[:-1] & under[1:]))
-            if carry is not None and carry >= th and under[0]:
-                crossings[i] += 1
+            down, under = _count(best, th)
+            seam = carry is not None and carry >= th > best[0]
+            crossings[i] += down + seam
+            below[i] += under
         carry = best[-1]
     return CrossingScan(thresholds=ths, crossings=crossings, below=below,
                         n_samples=t_total, dt=cfg.dt)
@@ -246,65 +243,32 @@ def scan_crossings(cfg: SimConfig, thresholds: Sequence[float],
 # Trace statistics
 # ---------------------------------------------------------------------------
 
+def _count(best: np.ndarray, x_th: float) -> Tuple[int, int]:
+    """(down-crossings, samples strictly below) of x_th along best."""
+    under = best < x_th
+    return (int(np.count_nonzero(~under[:-1] & under[1:])),
+            int(np.count_nonzero(under)))
+
+
 def empirical_lcr(trace: FadingTrace, x_th: float) -> float:
     """Observed down-crossing rate of the selected envelope, crossings/s."""
     best = trace.best
     if best.size < 2:
         raise ValueError("trace too short for crossing statistics")
-    down = np.count_nonzero((best[:-1] >= x_th) & (best[1:] < x_th))
-    return down / ((best.size - 1) * trace.dt)
+    return _count(best, x_th)[0] / ((best.size - 1) * trace.dt)
 
 
 def empirical_cdf(trace: FadingTrace, x_th: float) -> float:
     """Fraction of selected-envelope samples below the threshold."""
-    return float(np.count_nonzero(trace.best < x_th)) / trace.best.size
+    return _count(trace.best, x_th)[1] / trace.best.size
 
 
 def empirical_afd(trace: FadingTrace, x_th: float) -> float:
     """Observed mean fade duration in seconds: time below per down-crossing."""
-    best = trace.best
-    down = np.count_nonzero((best[:-1] >= x_th) & (best[1:] < x_th))
+    down, below = _count(trace.best, x_th)
     if down == 0:
         raise NoCrossingError(f"no crossings of threshold {x_th}")
-    return np.count_nonzero(best < x_th) * trace.dt / down
-
-
-def empirical_mission_reliability(trace: FadingTrace, rho: float,
-                                  mission_duration: float) -> float:
-    """Fraction of disjoint missions with no sample below rho.
-
-    Windows start only at operational samples (envelope >= rho), matching
-    the from-an-up-state convention of the analytic model; below-threshold
-    stretches between windows are skipped sample by sample.
-    """
-    best = trace.best
-    total = best.size
-    if not 0.0 <= mission_duration <= total * trace.dt:
-        raise ValueError(
-            f"mission duration must lie in [0, trace length], got {mission_duration}")
-    window = max(int(round(mission_duration / trace.dt)), 1)
-    ok = best >= rho
-    successes = 0
-    windows = 0
-    t = 0
-    while t + window <= total:
-        if ok[t]:
-            windows += 1
-            if bool(ok[t:t + window].all()):
-                successes += 1
-            t += window
-        else:
-            ahead = np.argmax(ok[t:])
-            if not ok[t + ahead]:
-                break  # never operational again
-            t += int(ahead)
-    if windows == 0:
-        raise NoCrossingError("no operational window start found")
-    if windows < 100:
-        warnings.warn(
-            f"only {windows} mission windows observed; estimate is "
-            "low-confidence", RuntimeWarning)
-    return successes / windows
+    return below * trace.dt / down
 
 
 def export_trace(trace: FadingTrace, path: str) -> None:

@@ -53,7 +53,7 @@ class QosProfile:
         if not self.drain_eff > 0.0:
             raise ValueError(
                 f"drain_eff must be positive, got {self.drain_eff}")
-        if self.circuit_power < 0.0 or self.idle_power < 0.0:
+        if not (self.circuit_power >= 0.0 and self.idle_power >= 0.0):
             raise ValueError("power terms must be nonnegative")
 
 

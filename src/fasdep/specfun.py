@@ -1,12 +1,12 @@
 """Special functions backing the fading, crossing-rate and QoS layers.
 
 Runtime dependencies stop at numpy and the stdlib on purpose; everything
-here is written from scratch and pinned against high-precision oracles in
-the test suite.  The inventory is exactly what the model needs:
+here is pinned against high-precision oracles in the test suite.  The
+inventory is exactly what the model needs:
 
-* ``bessel_j0``         port correlation profile
+* ``bessel_j0``         port correlation profile, from its integral form
 * ``reg_lower_inc_gamma``/``reg_upper_inc_gamma``  Nakagami CDF and tail
-* ``qfunc``/``qfunc_inv``  finite-blocklength rate penalty
+* ``qfunc``/``qfunc_inv``  finite-blocklength rate penalty (stdlib quantile)
 
 and two private array kernels the quadrature integrands call:
 ``_log_bessel_i_scaled_vec`` (conditional envelope densities) and
@@ -23,6 +23,7 @@ Numerical Recipes ch. 6).
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -54,56 +55,18 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 # Bessel J0
 # ---------------------------------------------------------------------------
 
-_J0_SERIES_CUTOFF = 12.0
-
-
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero.
 
-    Ascending power series up to |x| = 12, Hankel asymptotic expansion
-    (DLMF 10.17.3) beyond.  Worst-case absolute error sits at a few 1e-12
-    near the switch point and improves away from it.
+    Midpoint rule on J0(x) = (1/pi) int_0^pi cos(x sin t) dt (DLMF 10.9.1).
+    The integrand is smooth and pi-periodic, so the rule converges
+    geometrically once n = floor(x/2 + 4 x^(1/3)) + 20 nodes resolve its
+    oscillations: within 2e-14 absolute out to x = 3000.
     """
     ax = abs(float(x))
-    if ax <= _J0_SERIES_CUTOFF:
-        q = 0.25 * ax * ax
-        term = 1.0
-        total = 1.0
-        tmax = 1.0
-        for k in range(1, 200):
-            term *= -q / (k * k)
-            total += term
-            mag = abs(term)
-            if mag > tmax:
-                tmax = mag
-            elif mag <= 1e-17 * tmax:
-                break
-        return total
-
-    # Hankel expansion: sqrt(2/(pi x)) [cos(w) S_even - sin(w) S_odd],
-    # w = x - pi/4, with a_k(0) = (-1)^k ((2k-1)!!)^2 / (k! 8^k).
-    w = ax - 0.25 * math.pi
-    even = 0.0
-    odd = 0.0
-    t = 1.0  # a_k(0) / x^k
-    prev = math.inf
-    for k in range(40):
-        if k:
-            t *= -((2 * k - 1) ** 2) / (8.0 * k * ax)
-        mag = abs(t)
-        if mag >= prev:  # optimal truncation for the divergent tail
-            break
-        half, parity = divmod(k, 2)
-        signed = -t if half % 2 else t
-        if parity == 0:
-            even += signed
-        else:
-            odd += signed
-        prev = mag
-        if mag < 1e-17:
-            break
-    amp = math.sqrt(2.0 / (math.pi * ax))
-    return amp * (math.cos(w) * even - math.sin(w) * odd)
+    n = int(0.5 * ax + 4.0 * ax ** (1.0 / 3.0)) + 20
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    return float(np.cos(ax * np.sin(theta)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -418,45 +381,10 @@ def qfunc(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _norm_ppf(p: float) -> float:
-    # Acklam's rational initializer, then two Halley refinements against the
-    # erfc-form CDF; good to ~1 ulp across (0, 1).
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    plow = 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - plow:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    for _ in range(2):
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-        u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
-
-
 def qfunc_inv(p: float) -> float:
     """Inverse of qfunc on (0, 1).  qfunc_inv(0.5) is exactly 0."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if p == 0.5:
         return 0.0
-    return -_norm_ppf(p)
+    return -statistics.NormalDist().inv_cdf(p)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to pin expected test values.
 
 Nothing in here imports the package under test.  Each function recomputes
-a quantity from its defining integral, series, or fixed point using scipy
-or mpmath, so the frozen constants scattered through the test modules can
-be regenerated by running this file directly:
+a quantity from its defining integral, series, fixed point or a direct
+count using scipy, mpmath or plain numpy, so the frozen constants scattered
+through the test modules can be regenerated by running this file directly:
 
     python tests/oracles.py
 """
@@ -180,6 +180,25 @@ def qfunc_inv_bisect(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def qfunc_inv_mp(p: float, dps: int = 50) -> mpmath.mpf:
+    """Root of Q(x) = p at dps digits, Q(x) = erfc(x / sqrt 2) / 2.
+
+    Newton's method runs on log Q(x) = log p, so p down to the smallest
+    subnormal keeps its relative accuracy; p above 1/2 solves for 1 - p,
+    which is exact in mpmath for any float p, and flips the sign.
+    """
+    with mpmath.workdps(dps):
+        pp = mpmath.mpf(p)
+        sign = 1
+        if pp > 0.5:
+            pp, sign = 1 - pp, -1
+        target = mpmath.log(pp)
+        root = mpmath.findroot(
+            lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - target,
+            mpmath.sqrt(-2 * target) if pp < 0.4 else mpmath.mpf(0.1))
+        return sign * root
+
+
 # ---------------------------------------------------------------------------
 # Joint CDF of the port envelopes
 # ---------------------------------------------------------------------------
@@ -212,6 +231,65 @@ def joint_cdf_chndtr(mu, m: float, power: float, uppers) -> float:
     val, _ = integrate.quad(integrand, 0.0, x_ref, epsabs=0.0, epsrel=1e-11,
                             limit=400, points=steps or None)
     return val
+
+
+def max_pdf(mu, m: float, power: float, x: float) -> float:
+    """Density of the best-port envelope max_k R_k at x, from scipy alone.
+
+    d/dx of joint_cdf_chndtr at equal uppers x: the reference density at x
+    times the product of the conditional CDF rows (the upper end of the
+    integral moves), plus the integral over [0, x] of the reference
+    density times the leave-one-out sum
+        sum_k ncx2.pdf row k * prod_(j != k) chndtr row j,
+    where each row's pdf carries the Jacobian 2 scale_k x of its chi^2
+    argument scale_k x^2.  The quadrature breaks at the ridges |mu_k| x
+    and one conditional spread below x, where the rows turn over.
+    """
+    mu2 = np.square(np.asarray(mu, dtype=float))
+    scale = 2.0 * m / ((1.0 - mu2) * power)
+    leave_out = ~np.eye(mu2.size, dtype=bool)
+
+    def rows(x1: float):
+        noncentral = scale * mu2 * x1 * x1
+        cdf = special.chndtr(scale * x * x, 2.0 * m, noncentral)
+        pdf = stats.ncx2.pdf(scale * x * x, 2.0 * m, noncentral) * (2.0 * scale * x)
+        return cdf, pdf
+
+    def ref_pdf(x1: float) -> float:
+        return stats.nakagami.pdf(x1, m, scale=math.sqrt(power))
+
+    def integrand(x1: float) -> float:
+        cdf, pdf = rows(x1)
+        loo = np.prod(np.where(leave_out, cdf, 1.0), axis=1)
+        return ref_pdf(x1) * float(pdf @ loo)
+
+    spread = np.sqrt((1.0 - mu2) * power / (2.0 * m))
+    ridges = np.concatenate((np.sqrt(mu2) * x, x - spread))
+    breaks = sorted({float(p) for p in ridges if 0.0 < p < x})
+    val, _ = integrate.quad(integrand, 0.0, x, epsabs=0.0, epsrel=1e-12,
+                            limit=400, points=breaks or None)
+    return ref_pdf(x) * float(np.prod(rows(x)[0])) + val
+
+
+def max_pdf_richardson(mu, m: float, power: float, x: float) -> float:
+    """The same density as a Richardson-extrapolated central difference of
+    joint_cdf_chndtr at equal uppers, with step h = 1e-3 x.
+
+    (4 D(h/2) - D(h)) / 3 with D(h) = (F(x + h) - F(x - h)) / 2h cancels the
+    h^2 term, leaving O(h^4): 3e-8 relative at h = 1e-2 x and 4e-10 at
+    1e-3 x on the figure layouts, where the CDF's 1e-11 quadrature
+    tolerance still costs less than that.
+    """
+    n_ports = len(mu) + 1
+
+    def cdf(t: float) -> float:
+        return joint_cdf_chndtr(mu, m, power, (t,) * n_ports)
+
+    def central(h: float) -> float:
+        return (cdf(x + h) - cdf(x - h)) / (2.0 * h)
+
+    h = 1e-3 * x
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 def survival_ncx2(chan, x: float) -> float:
@@ -370,6 +448,51 @@ def sos_envelopes_f64(omega, phase, amp: float, mu, n_ports: int, m: int,
                 h = root * process(lead + 2 * k + part) + mix * ref[part]
                 e2[k] += h * h
     return np.sqrt(e2)
+
+
+# ---------------------------------------------------------------------------
+# Mission reliability counted on a simulated trace
+# ---------------------------------------------------------------------------
+
+def empirical_mission_reliability(trace, rho: float,
+                                  mission_duration: float) -> float:
+    """Fraction of disjoint missions with no sample below rho.
+
+    Reads `best` (the selected envelope) and `dt` from the trace.  Windows
+    start only at operational samples (envelope >= rho), matching the
+    from-an-up-state convention of the analytic model; below-threshold
+    stretches between windows are skipped sample by sample.  Raises
+    ValueError for a mission outside [0, trace length] and when no window
+    can start; warns below 100 windows.
+    """
+    best = trace.best
+    total = best.size
+    if not 0.0 <= mission_duration <= total * trace.dt:
+        raise ValueError(
+            f"mission duration must lie in [0, trace length], got {mission_duration}")
+    window = max(int(round(mission_duration / trace.dt)), 1)
+    ok = best >= rho
+    successes = 0
+    windows = 0
+    t = 0
+    while t + window <= total:
+        if ok[t]:
+            windows += 1
+            if bool(ok[t:t + window].all()):
+                successes += 1
+            t += window
+        else:
+            ahead = np.argmax(ok[t:])
+            if not ok[t + ahead]:
+                break  # never operational again
+            t += int(ahead)
+    if windows == 0:
+        raise ValueError("no operational window start found")
+    if windows < 100:
+        warnings.warn(
+            f"only {windows} mission windows observed; estimate is "
+            "low-confidence", RuntimeWarning)
+    return successes / windows
 
 
 # ---------------------------------------------------------------------------

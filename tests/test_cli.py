@@ -233,6 +233,10 @@ def test_config_file_errors(capsys, tmp_path):
     "channel.n_ports",          # missing value
     "channel.span=0.5",         # unknown key
     "channel.n_ports=two",      # uncastable
+    "qos.circuit_power=nan",    # non-finite
+    "run.omega=nan",
+    "qos.theta=inf",
+    "channel.m=inf",
 ])
 def test_set_errors(capsys, item):
     code, _, err = _run(capsys, "lcr", "--set", item,

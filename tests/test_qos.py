@@ -169,6 +169,9 @@ def test_profile_validation():
         QosProfile(drain_eff=0.0)
     with pytest.raises(ValueError):
         QosProfile(circuit_power=-0.1)
+    for field in ("circuit_power", "idle_power"):
+        with pytest.raises(ValueError):
+            QosProfile(**{field: math.nan})
 
 
 def test_meee_increases_with_reliability():

@@ -48,6 +48,17 @@ def test_j0_matches_integral_representation():
             oracles.j0_quadrature(float(x)), abs=5e-12)
 
 
+def test_j0_matches_scipy_to_rounding():
+    """Absolute error within 5e-14 of scipy on [0, 3000], sampled densely
+    below x = 40."""
+    from scipy import special
+
+    xs = np.concatenate([np.linspace(0.0, 40.0, 8001),
+                         np.linspace(40.0, 3000.0, 12001)])
+    got = np.array([specfun.bessel_j0(float(x)) for x in xs])
+    assert np.max(np.abs(got - special.j0(xs))) < 5e-14
+
+
 # ---------------------------------------------------------------------------
 # Modified Bessel I (the shipped array kernel)
 # ---------------------------------------------------------------------------
@@ -382,6 +393,17 @@ def test_qfunc_round_trip():
     for _ in range(400):
         p = float(rng.uniform(1e-9, 1.0 - 1e-9))
         assert specfun.qfunc(specfun.qfunc_inv(p)) == pytest.approx(p, abs=1e-10)
+
+
+def test_qfunc_inv_matches_extended_precision_root():
+    """2e-15 relative against a 50-digit root, from 1e-300 up to 1 - 2^-53
+    and at the smallest subnormal."""
+    ps = [float(p) for p in np.geomspace(1e-300, 0.49, 60)]
+    ps += [0.5 - 1e-12, 0.5 + 1e-12, 0.51, 0.9, 1.0 - 1e-6, 1.0 - 1e-12,
+           1.0 - 2.0 ** -53, 5e-324]
+    for p in ps:
+        want = oracles.qfunc_inv_mp(p)
+        assert specfun.qfunc_inv(p) == pytest.approx(float(want), rel=2e-15, abs=0.0), p
 
 
 def test_qfunc_inv_domain():
