@@ -241,7 +241,9 @@ def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
     """CDF of the selected (best-port) envelope at x_th, and 1 minus it.
 
     The smaller side is computed and the other taken as 1 minus it; above
-    the median that is the survival, accurate deep into the tail.
+    the median that is the survival, accurate deep into the tail.  Where
+    the union bound N Q(m, m x_th^2/s2) on the survival is below 1/2, the
+    CDF is not integrated at all.
     """
     if x_th < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {x_th}")
@@ -255,9 +257,10 @@ def max_cdf_and_survival(chan: FasChannel, x_th: float) -> Tuple[float, float]:
         raise ValueError("joint CDF singular at |mu_k| = 1 (identical ports)")
     x_th = float(x_th)
     uppers = (x_th,) * len(chan.mu)
-    cdf = _cdf_quad(chan, x_th, uppers)
-    if cdf <= 0.5:
-        return cdf, 1.0 - cdf
+    if chan.n_ports * specfun.reg_upper_inc_gamma(m, z) >= 0.5:
+        cdf = _cdf_quad(chan, x_th, uppers)
+        if cdf <= 0.5:
+            return cdf, 1.0 - cdf
     survival = _cdf_quad(chan, x_th, uppers, complement=True)
     return 1.0 - survival, survival
 

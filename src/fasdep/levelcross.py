@@ -1,16 +1,19 @@
 """Level-crossing statistics of the selected-port envelope.
 
-The selected envelope falls below a threshold when every port is below it,
-so the down-crossing rate collects one boundary term per port: the term for
-port i integrates the bivariate density of (reference, port i) pinned at
-the threshold against the conditional CDFs of the remaining ports.  Every
-term carries the common scale sqrt(2 pi / m) * sigma * f_D from the
-envelope-derivative variance.
+Every port's envelope derivative is Gaussian with variance
+pi^2 (sigma^2/m) f_D^2, independent of the envelopes, so every crossing
+rate is one scale times a density: lcr = C f_max(x) with
+C = (1/2) sqrt(2 pi sigma^2 / m) f_D and f_max the density of the selected
+envelope at the threshold.  For a single port f_max is the Nakagami
+density; for independent ports it is N F^(N-1) f.  In general the
+selected envelope falls below the threshold when every port is below it,
+so f_max collects one boundary term per port: the term for port i
+integrates the bivariate density of (reference, port i) pinned at the
+threshold against the conditional CDFs of the remaining ports.
 
-Closed forms are provided for the single port, for independent ports and
-for the two-port gamma series, which doubles as a cross-check of the
-quadrature path.  Identical ports (|mu_k| = 1) cross like one port; the
-general routes reject them.
+The two-port gamma series doubles as a cross-check of the quadrature
+path.  Identical ports (|mu_k| = 1) cross like one port; the general
+routes reject them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import specfun
 from .channel import (_SERIES_MAX_TERMS, _SERIES_REL_TOL, FasChannel,
-                      _conditional_cdfs, _logaddexp, marginal_pdf,
-                      max_cdf_and_survival)
+                      _conditional_cdfs, _logaddexp, marginal_cdf,
+                      marginal_pdf, max_cdf_and_survival)
 from .errors import QuadratureError, SeriesTruncationError
 from .quadrature import adaptive_gk
 
@@ -67,24 +70,18 @@ class RatePair:
     repair_rate: float
 
 
-def _lcr_single(m: float, sigma2: float, doppler: float, x: float) -> float:
-    # one-port Nakagami crossing rate
-    if x == 0.0:
-        return math.sqrt(2.0) * doppler if m == 0.5 else 0.0
-    lg = (0.5 * math.log(2.0 * math.pi) + (m - 0.5) * math.log(m)
-          + (2.0 * m - 1.0) * math.log(x) - m * x * x / sigma2
-          - math.lgamma(m) - (m - 0.5) * math.log(sigma2))
-    return doppler * math.exp(lg)
+def _crossing_scale(ctx: CrossingContext) -> float:
+    # every port's envelope derivative has variance pi^2 (sigma^2/m) f_D^2
+    m, s2 = ctx.channel.nakagami_m, ctx.channel.power
+    return 0.5 * math.sqrt(2.0 * math.pi * s2 / m) * ctx.doppler_hz
 
 
 def lcr(ctx: CrossingContext) -> float:
     """Down-crossing rate of the selected envelope through the threshold."""
     chan = ctx.channel
     x = ctx.threshold
-    m = chan.nakagami_m
-    s2 = chan.power
     if chan.n_ports == 1:
-        return _lcr_single(m, s2, ctx.doppler_hz, x)
+        return _crossing_scale(ctx) * marginal_pdf(chan, x)
     if chan.degenerate_ports():
         raise ValueError(
             "|mu_k| = 1 makes the ports identical; they cross like a single "
@@ -92,13 +89,12 @@ def lcr(ctx: CrossingContext) -> float:
     if x == 0.0:
         return 0.0
 
-    # boundary term of the reference port
-    t_ref = 0.5 * marginal_pdf(chan, x) * float(_conditional_cdfs(
+    # f_max(x): the reference port's boundary term, then every other port's
+    density = marginal_pdf(chan, x) * float(_conditional_cdfs(
         chan, (float(x),) * len(chan.mu), np.array([x])).prod(axis=0)[0])
-    total = t_ref
     for port in range(2, chan.n_ports + 1):
-        total += 0.5 * _port_crossing_integral(chan, port, x)
-    return math.sqrt(2.0 * math.pi / m) * math.sqrt(s2) * ctx.doppler_hz * total
+        density += _port_crossing_integral(chan, port, x)
+    return _crossing_scale(ctx) * density
 
 
 def normalized_lcr(ctx: CrossingContext) -> float:
@@ -136,7 +132,7 @@ def _port_crossing_integral(chan: FasChannel, port: int, x: float) -> float:
     width = math.sqrt(denom / (2.0 * m))
     seeds = [abs(mu) * x, 0.5 * x, x - width, x - 5.0 * width]
     try:
-        res = adaptive_gk(integrand, 0.0, x, abs_tol=1e-12, rel_tol=1e-9,
+        res = adaptive_gk(integrand, 0.0, x, abs_tol=0.0, rel_tol=1e-9,
                           max_subdiv=2000, points=seeds)
     except QuadratureError as exc:
         raise QuadratureError(
@@ -146,24 +142,13 @@ def _port_crossing_integral(chan: FasChannel, port: int, x: float) -> float:
 
 
 def lcr_iid(ctx: CrossingContext) -> float:
-    """Crossing rate when all N ports fade independently (mu_k = 0)."""
+    """Crossing rate when all N ports fade independently (mu_k = 0), from
+    the density N F^(N-1) f of the largest of N i.i.d. envelopes."""
     chan = ctx.channel
     x = ctx.threshold
-    m = chan.nakagami_m
-    s2 = chan.power
     n = chan.n_ports
-    if n == 1:
-        return _lcr_single(m, s2, ctx.doppler_hz, x)
-    if x == 0.0:
-        return 0.0
-    p = specfun.reg_lower_inc_gamma(m, m * x * x / s2)
-    if p == 0.0:
-        return 0.0
-    lg = (0.5 * math.log(2.0 * math.pi) + math.log(n) + (m - 0.5) * math.log(m)
-          + (2.0 * m - 1.0) * math.log(x) - m * x * x / s2
-          - math.lgamma(m) - (m - 0.5) * math.log(s2)
-          + (n - 1) * math.log(p))
-    return ctx.doppler_hz * math.exp(lg)
+    return (_crossing_scale(ctx) * n * marginal_cdf(chan, x) ** (n - 1)
+            * marginal_pdf(chan, x))
 
 
 def lcr_two_port_series(ctx: CrossingContext) -> float:

@@ -6,7 +6,7 @@ inventory is exactly what the model needs:
 
 * ``bessel_j0``         port correlation profile, from its integral form
 * ``reg_lower_inc_gamma``/``reg_upper_inc_gamma``  Nakagami CDF and tail
-* ``qfunc``/``qfunc_inv``  finite-blocklength rate penalty (stdlib quantile)
+* ``qfunc_inv``         finite-blocklength rate penalty (stdlib quantile)
 
 and two private array kernels the quadrature integrands call:
 ``_log_bessel_i_scaled_vec`` (conditional envelope densities) and
@@ -33,11 +33,8 @@ __all__ = [
     "bessel_j0",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
-    "qfunc",
     "qfunc_inv",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 # incomplete-gamma series and continued fraction: target relative
 # truncation error, and the term budget before SeriesTruncationError
@@ -208,11 +205,13 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
 
     over a window wide enough that the discarded Poisson mass is ~1e-14.
     complement=True mixes the upper table Q(order + k, z) and returns Q
-    itself, accurate where 1 - (1 - Q) rounds to 0; against that rising
-    table the terms peak near k = sqrt(y z), not y, when y < z, so the
-    window centres on max(y, sqrt(y z)).  Rows run in sorted chunks of at
-    most 128 whose centres span a few Poisson widths, so the window and
-    the weight matrix track the local range.
+    itself, accurate where 1 - (1 - Q) rounds to 0.  The terms peak near
+    k = sqrt(y z), not y, on the small side: Q when y < z, so that window
+    centres on max(y, sqrt(y z)), and 1 - Q when y > z, so that one
+    centres on min(y, sqrt(y z)).  Rows run in sorted chunks of at most
+    128 whose centres span a few Poisson widths, so the window and the
+    weight matrix track the local range; a 1 - Q chunk below z stops at
+    z, since its table is formed by subtraction.
 
     Nodes with y and z both at or above max(_LARGE_XI_MIN, order^2) take
     the large-xi expansion instead (_marcum_large_xi), whose cost does not
@@ -242,9 +241,13 @@ def _one_minus_marcum_q_fixed_b(order: float, y: np.ndarray, z: float,
     centre = y[order_of]
     if complement:
         centre = np.maximum(centre, np.sqrt(centre * z))
+    elif centre.size and centre[-1] > z:
+        centre = np.minimum(centre, np.sqrt(centre * z))
     lo = 0
     while lo < centre.size:
         span_end = centre[lo] + 32.0 * math.sqrt(centre[lo]) + 100.0
+        if not complement and centre[lo] <= z:
+            span_end = min(span_end, z)
         hi = min(lo + 128, int(np.searchsorted(centre, span_end, side="right")))
         rows = order_of[lo:hi]
         out[rows] = _poisson_mix_chunk(order, y[rows], z, float(centre[lo]),
@@ -350,17 +353,23 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
 
     # P(order + k, z) for k = k_lo..k_hi by the downward identity
     # P(s+1, z) = P(s, z) - z^s e^-z / Gamma(s+1), or Q(order + k, z) by
-    # the upward Q(s+1, z) = Q(s, z) + z^s e^-z / Gamma(s+1).  lgamma prefix
+    # the upward Q(s+1, z) = Q(s, z) + z^s e^-z / Gamma(s+1).  For nodes
+    # above z, where P is small and subtraction would floor near 1e-16, P
+    # sums the same steps down from P(order + k_hi, z).  lgamma prefix
     # sums run in extended precision; plain float64 cumsum error would be
     # visible at window lengths in the thousands.
     s0 = order + k_lo
     j = np.arange(n - 1)
     lgam = math.lgamma(s0 + 1.0) + np.concatenate(
         ([0.0], np.cumsum(np.log(np.arange(1, n - 1, dtype=np.longdouble) + s0))))
-    dec = np.concatenate(([0.0], np.cumsum(
-        np.exp(((s0 + j) * math.log(z) - z - lgam).astype(float)))))
-    tab = (reg_upper_inc_gamma(s0, z) + dec if complement
-           else reg_lower_inc_gamma(s0, z) - dec)
+    step = np.exp(((s0 + j) * math.log(z) - z - lgam).astype(float))
+    if c_lo > z and not complement:
+        rise = np.cumsum(step[::-1])[::-1]
+        tab = reg_lower_inc_gamma(s0 + n - 1, z) + np.append(rise, 0.0)
+    else:
+        dec = np.concatenate(([0.0], np.cumsum(step)))
+        tab = (reg_upper_inc_gamma(s0, z) + dec if complement
+               else reg_lower_inc_gamma(s0, z) - dec)
     np.clip(tab, 0.0, 1.0, out=tab)
 
     ks = np.arange(k_lo, k_hi + 1)
@@ -376,13 +385,8 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
 # Gaussian tail
 # ---------------------------------------------------------------------------
 
-def qfunc(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def qfunc_inv(p: float) -> float:
-    """Inverse of qfunc on (0, 1).  qfunc_inv(0.5) is exactly 0."""
+    """Inverse of the Gaussian tail Q(x) = P(N(0,1) > x); exactly 0 at 0.5."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if p == 0.5:

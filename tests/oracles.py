@@ -168,6 +168,11 @@ def marcum_pq_integral_mp(order: float, y: float, z: float,
         return (1 - small, small) if upper else (small, 1 - small)
 
 
+def qfunc(x: float) -> float:
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), from erfc."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
 def qfunc_inv_bisect(p: float) -> float:
     """Solve 0.5 erfc(x / sqrt 2) = p by bisection on [-40, 40]."""
     lo, hi = -40.0, 40.0

@@ -318,12 +318,23 @@ def test_max_cdf_non_decreasing_far_above_envelope_scale():
     assert vals[-1] == 1.0
 
 
-def test_survival_above_the_median_comes_from_the_complement_integral():
+def test_survival_above_the_median_comes_from_the_complement_integral(monkeypatch):
     """At N=4, W=0.3, m=2, x=3 the CDF is above 1/2, so the survival is
     integrated directly (about 1e-6, deep in the tail) and the CDF is 1
-    minus it."""
+    minus it.  The union bound N Q(m, m x^2/s2) < 1/2 shows this before
+    any integral, so the CDF is never integrated: one complement call."""
     chan = FasChannel(n_ports=4, aperture=0.3, nakagami_m=2.0)
+    calls = []
+    quad = channel._cdf_quad
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("complement", False))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_cdf_quad", counted)
     cdf, survival = max_cdf_and_survival(chan, 3.0)
+    monkeypatch.undo()
+    assert calls == [True]
     assert survival == channel._cdf_quad(chan, 3.0, (3.0,) * 3,
                                          complement=True)
     assert cdf == 1.0 - survival

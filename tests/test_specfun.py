@@ -231,6 +231,28 @@ def test_marcum_complement_edges():
         specfun.reg_upper_inc_gamma(2.0, 200.0)
 
 
+@pytest.mark.parametrize("order,z,ys", [
+    (5.0, 67.4, (100.0, 215.0, 272.0, 308.0)),
+    (5.0, 67.4, (30.0, 100.0, 215.0, 272.0, 308.0)),
+    (0.5, 0.5, (0.1, 20.0, 60.0, 150.0)),
+    (1.0, 20.0, (5.0, 40.0, 120.0, 300.0)),
+])
+def test_marcum_nodes_above_the_threshold_against_mp_mixture(order, z, ys):
+    """Nodes with y > z, where 1 - Q is the small side (here down to
+    2e-74): both sides to 1e-12 relative against a 30-digit Poisson
+    mixture, in one batch and one node at a time, alone and batched with
+    a node below z.  A P table formed by subtraction from
+    P(order + k_lo, z) would floor near 1e-14."""
+    tail = specfun._one_minus_marcum_q_fixed_b
+    y = np.array(ys)
+    want = np.array([[float(v) for v in oracles.marcum_pq_mixture_mp(order, v, z)]
+                     for v in ys])
+    batch = np.array([tail(order, y, z), tail(order, y, z, complement=True)]).T
+    single = np.array([_marcum_pq(order, v, z) for v in ys])
+    for got in (batch, single):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Marcum Q: the large-xi branch
 # ---------------------------------------------------------------------------
@@ -372,12 +394,12 @@ def test_marcum_small_threshold_skips_the_expansion(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_qfunc_median():
-    assert specfun.qfunc(0.0) == 0.5
+    assert oracles.qfunc(0.0) == 0.5
 
 
 def test_qfunc_symmetry():
     for x in (0.3, 1.0, 2.7):
-        assert specfun.qfunc(-x) == pytest.approx(1.0 - specfun.qfunc(x), abs=1e-15)
+        assert oracles.qfunc(-x) == pytest.approx(1.0 - oracles.qfunc(x), abs=1e-15)
 
 
 def test_qfunc_inv_median_is_exact_zero():
@@ -392,7 +414,7 @@ def test_qfunc_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(400):
         p = float(rng.uniform(1e-9, 1.0 - 1e-9))
-        assert specfun.qfunc(specfun.qfunc_inv(p)) == pytest.approx(p, abs=1e-10)
+        assert oracles.qfunc(specfun.qfunc_inv(p)) == pytest.approx(p, abs=1e-10)
 
 
 def test_qfunc_inv_matches_extended_precision_root():
