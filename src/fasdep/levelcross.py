@@ -113,7 +113,10 @@ def _port_crossing_integral(chan: FasChannel, port: int, x: float) -> float:
     const = (math.log(4.0) + 2.0 * m * math.log(m) + (2.0 * m - 1.0) * math.log(x)
              - math.lgamma(m) - 2.0 * m * math.log(s2) - m * math.log(om)
              - m * x * x / denom)
-    uppers = (float(x),) * len(chan.mu)
+    # the other ports' conditional CDFs: this port's row is never built
+    rest = FasChannel.with_correlation(
+        chan.n_ports - 1, chan.mu[:port - 2] + chan.mu[port - 1:], m, s2)
+    uppers = (float(x),) * len(rest.mu)
 
     def integrand(x1: np.ndarray) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
@@ -123,9 +126,7 @@ def _port_crossing_integral(chan: FasChannel, port: int, x: float) -> float:
               - m * x1 * x1 / denom)
         vals = np.exp(lg)
         vals[x1 <= 0.0] = 0.0 if m > 0.5 else math.exp(const)
-        # the other ports' conditional CDFs, leaving out this port's row
-        others = np.delete(_conditional_cdfs(chan, uppers, x1), port - 2, axis=0)
-        return vals * others.prod(axis=0)
+        return vals * _conditional_cdfs(rest, uppers, x1).prod(axis=0)
 
     # the kernel rides a ridge near mu*x and, for |mu| near 1, piles up
     # against the right endpoint on a width set by the residual spread

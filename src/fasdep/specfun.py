@@ -14,7 +14,10 @@ and two private array kernels the quadrature integrands call:
 The Marcum kernel sums a Poisson mixture of gamma tables, whose cost grows
 as sqrt(y); where both Marcum arguments y and z reach the crossover
 ``_LARGE_XI_MIN`` = 500 (and order^2) it switches to the Gil-Segura-Temme
-large-xi erfc expansion, whose cost does not depend on y.
+large-xi erfc expansion, whose cost does not depend on y.  The mixture's
+tables are memoized per exact window (order, z, k range, side) in a
+64-entry ``lru_cache``: every row and integral at one threshold shares one
+build, and a hit returns exactly what a cold build would.
 
 Math references in comments use standard handbook numbering (DLMF ch. 10,
 Numerical Recipes ch. 6).
@@ -22,6 +25,7 @@ Numerical Recipes ch. 6).
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -349,6 +353,19 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
     spread = 8.0 * math.sqrt(c_hi) + 25.0
     k_lo = max(0, int(math.floor(c_lo - spread)))
     k_hi = int(math.ceil(c_hi + spread))
+    tab, lg_k = _mixture_tables(order, z, k_lo, k_hi, complement,
+                                c_lo > z and not complement)
+    w = np.multiply.outer(np.log(yp), np.arange(k_lo, k_hi + 1))
+    w -= yp[:, None]
+    w -= lg_k
+    np.exp(w, out=w)
+    return np.clip(w @ tab, 0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _mixture_tables(order: float, z: float, k_lo: int, k_hi: int,
+                    complement: bool, above: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (gamma table, log k!) on k = k_lo..k_hi, pure in its key."""
     n = k_hi - k_lo + 1
 
     # P(order + k, z) for k = k_lo..k_hi by the downward identity
@@ -363,7 +380,7 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
     lgam = math.lgamma(s0 + 1.0) + np.concatenate(
         ([0.0], np.cumsum(np.log(np.arange(1, n - 1, dtype=np.longdouble) + s0))))
     step = np.exp(((s0 + j) * math.log(z) - z - lgam).astype(float))
-    if c_lo > z and not complement:
+    if above:
         rise = np.cumsum(step[::-1])[::-1]
         tab = reg_lower_inc_gamma(s0 + n - 1, z) + np.append(rise, 0.0)
     else:
@@ -372,13 +389,10 @@ def _poisson_mix_chunk(order: float, yp: np.ndarray, z: float, c_lo: float,
                else reg_lower_inc_gamma(s0, z) - dec)
     np.clip(tab, 0.0, 1.0, out=tab)
 
-    ks = np.arange(k_lo, k_hi + 1)
     lg_k = math.lgamma(k_lo + 1.0) + np.concatenate(
         ([0.0], np.cumsum(np.log(np.arange(k_lo + 1, k_hi + 1, dtype=np.longdouble))))).astype(float)
-    lw = (-yp[:, None] + ks[None, :] * np.log(yp)[:, None]) - lg_k[None, :]
-    w = np.exp(lw)
-    vals = w @ tab
-    return np.clip(vals, 0.0, 1.0)
+    tab.flags.writeable = lg_k.flags.writeable = False
+    return tab, lg_k
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,33 @@ def test_anfd_computes_crossing_rate_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_crossing_integral_builds_only_the_other_ports_rows(monkeypatch, n):
+    """Port i's boundary term needs the conditional CDFs of the N - 2 ports
+    other than the reference and i: at N = 2 no Marcum row at all, at
+    N = 4 two rows per integrand call."""
+    integrand_calls, kernel_calls = [], []
+    kernel = specfun._one_minus_marcum_q_fixed_b
+    gk = levelcross.adaptive_gk
+
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    def counted_gk(f, *args, **kwargs):
+        def counted_f(x1):
+            integrand_calls.append(x1)
+            return f(x1)
+        return gk(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_one_minus_marcum_q_fixed_b", counted_kernel)
+    monkeypatch.setattr(levelcross, "adaptive_gk", counted_gk)
+    chan = FasChannel(n, 0.03, 5.0)
+    assert levelcross._port_crossing_integral(chan, 2, 1.0) > 0.0
+    assert integrand_calls
+    assert len(kernel_calls) == (n - 2) * len(integrand_calls)
+
+
 @pytest.mark.parametrize("x", [3.0, 3.3, 4.0])
 def test_anfd_is_inverse_failure_rate(x):
     """One route to ANFD: the afd command's column and 1/Upsilon agree,

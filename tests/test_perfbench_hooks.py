@@ -33,3 +33,20 @@ def test_tracer_hooks_resolve():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=120, check=True)
     assert set(json.loads(out.stdout)) == STALE_HOOKS
+
+
+def test_benchmark_finds_the_marcum_table_memo():
+    """perfbench/run.py clears every lru_cache it finds in fasdep's modules
+    before each operation, so each one starts cold.  The Marcum table memo
+    must be among them: a memo the rule cannot find (a plain dict, say)
+    would carry warm tables from one operation into the next."""
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}]\n"
+        "import run\n"
+        "run._import_fasdep()\n"
+        "print(json.dumps([f'{c.__module__}.{c.__qualname__}'\n"
+        "                  for c in run._fasdep_caches()]))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert "fasdep.specfun._mixture_tables" in json.loads(out.stdout)

@@ -1,11 +1,14 @@
 """Special-function layer: pinned values, identities, and failure modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fasdep import specfun
+from fasdep.channel import FasChannel
+from fasdep.levelcross import CrossingContext, failure_repair_rates
 from fasdep.errors import SeriesTruncationError
 
 import oracles
@@ -387,6 +390,53 @@ def test_marcum_small_threshold_skips_the_expansion(monkeypatch):
     specfun._one_minus_marcum_q_fixed_b(2.0, y, np.nextafter(lo, 0.0))
     big_order = math.sqrt(1.5 * lo)
     specfun._one_minus_marcum_q_fixed_b(big_order, y, 1.2 * lo)
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("z", [0.7, 24.3, 450.0])
+@pytest.mark.parametrize("complement", [False, True])
+def test_marcum_table_memo_leaves_results_unchanged(order, z, complement):
+    """A memo hit returns exactly what a cold build returns, whatever was
+    evaluated before: other nodes, other thresholds, the other side."""
+    kernel = specfun._one_minus_marcum_q_fixed_b
+    memo = specfun._mixture_tables
+    y = z * np.array([0.01, 0.2, 0.6, 0.95, 1.5, 3.0])
+    memo.cache_clear()
+    cold = kernel(order, y, z, complement)
+
+    memo.cache_clear()
+    kernel(order, 0.5 * y + 0.3, z, complement)
+    kernel(order, y, 1.1 * z, complement)
+    kernel(order, y, z, not complement)
+    kernel(order, y, z, complement)
+    hits = memo.cache_info().hits
+    warm = kernel(order, y, z, complement)
+    assert memo.cache_info().hits > hits
+    assert np.array_equal(warm, cold)
+
+
+def test_marcum_memo_tables_are_read_only():
+    tab, lg_k = specfun._mixture_tables(2.0, 24.3, 0, 80, False, False)
+    with pytest.raises(ValueError):
+        tab[0] = 0.5
+    with pytest.raises(ValueError):
+        lg_k[0] = 0.5
+
+
+def test_marcum_memo_stays_small_over_a_threshold_sweep():
+    """The memo holds at most 64 windows, and after a 16-threshold sweep of
+    rate pairs at N = 4, W = 0.03, m = 5 what it keeps alive is about 1 MB."""
+    chan = FasChannel(4, 0.03, 5.0)
+    specfun._mixture_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for x in np.linspace(0.1, 2.5, 16):
+            failure_repair_rates(CrossingContext(chan, 10.0, float(x)))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= 3e6
+    assert specfun._mixture_tables.cache_info().currsize <= 64
 
 
 # ---------------------------------------------------------------------------
