@@ -1,23 +1,16 @@
 """Rewrite every golden CLI output in this directory from the current checkout.
 
-    python tests/golden/regen.py [--out DIR]
+    python tests/golden/regen.py
 
 Each run in RUNS writes its output to `<name>.csv` (`<name>.txt` for the
 validation report), and `exit_codes.json` records every run's exit code.
 `tests/test_golden.py` reruns the same commands and compares them with
 these files.  Regenerating changes test data: a change that reruns this
 script lists the files it rewrote and the largest change in CHANGES.md.
-
-With `--out DIR` the same files go to DIR (created if missing) and the
-golden files are left alone.  To check that a change leaves every output
-byte-identical, run the script in the change's checkout and in a
-`git archive` of its parent, each into its own directory, and `cmp` the
-two directories file by file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -40,9 +33,9 @@ RUNS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def golden_path(name: str, directory: Path = GOLDEN_DIR) -> Path:
+def golden_path(name: str) -> Path:
     suffix = ".txt" if RUNS[name][0] == "validate" else ".csv"
-    return directory / f"{name}{suffix}"
+    return GOLDEN_DIR / f"{name}{suffix}"
 
 
 def run(name: str, out: Path) -> int:
@@ -51,16 +44,11 @@ def run(name: str, out: Path) -> int:
     return main([*RUNS[name], "--out", str(out)])
 
 
-def regenerate(directory: Path = GOLDEN_DIR) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    codes = {name: run(name, golden_path(name, directory)) for name in RUNS}
-    (directory / EXIT_CODES.name).write_text(json.dumps(codes, indent=2) + "\n")
+def regenerate() -> None:
+    codes = {name: run(name, golden_path(name)) for name in RUNS}
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", type=Path, default=GOLDEN_DIR,
-                        help="write the runs here instead of tests/golden/")
-    args = parser.parse_args()
     sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
-    regenerate(args.out)
+    regenerate()
