@@ -12,12 +12,14 @@ bias in crossing rates at that count.
 
 Synthesis never evaluates a cosine per sample.  Each trial precomputes,
 per process, a float32 lag table amp [cos(omega s dt); -sin(omega s dt)]
-over the _SUB lags of a sub-block (computed in double, one process at a
-time).  A block's samples are then one batched float32 matmul of that table
-with the coefficients [cos theta_j; sin theta_j] of each sub-block start,
-theta_j = omega t_j + phi reduced mod 2 pi in double.  The envelopes agree
-with a double-precision cosine sum to a few 1e-6 at any depth into the
-trace (measured up to sample 2^31).
+over the _SUB lags of a sub-block (one process at a time, from a float32
+argument), and an N x N port mixing matrix.  A block's samples are then
+one batched float32 matmul of that table with the coefficients
+[cos theta_j; sin theta_j] of each sub-block start, theta_j = omega t_j +
+phi reduced to [0, 2 pi) in double and only then cast to float32 for the
+cosine and sine; each branch's ports are one more matmul with the mixing
+matrix.  The envelopes agree with a double-precision cosine sum to a few
+1e-6 at any depth into the trace (measured up to sample 2^31).
 
 Long runs should use scan_crossings, which streams blocks and never holds
 the full trace; generate_fading materializes an N x T matrix and is meant
@@ -50,9 +52,10 @@ __all__ = [
     "export_trace",
 ]
 
-# One block is one matmul over _BLOCK/_SUB sub-blocks; at N=4, m=2 its
-# working buffers peak near 1.3 MiB, and the lag table holds
-# 2mN * 2K * _SUB float32 (2 MiB at N=4, m=2, 64 oscillators).
+# One block is one matmul over _BLOCK/_SUB sub-blocks plus one mixing
+# matmul per branch; at N=4, m=2 its working buffers peak near 0.9 MiB
+# (float32 throughout after the double phase reduction), and the lag table
+# holds 2mN * 2K * _SUB float32 (2 MiB at N=4, m=2, 64 oscillators).
 _BLOCK = 1 << 13           # samples per streamed block
 _SUB = 256                 # lag-table length: samples per sub-block
 _MIN_RATE_FACTOR = 32.0    # f_s >= 32 f_D or crossings get skipped
@@ -129,13 +132,20 @@ class _Oscillators:
         self.n_ports = n
         self.mu = cfg.chan.mu
         self.dt = cfg.dt
+        # Port mixing, one row per port: port k is mu_k reference +
+        # sqrt(1 - mu_k^2) own innovation, so row 0 is e_0.
+        self._mix = np.eye(n, dtype=np.float32)
+        for port in range(1, n):
+            mu = float(self.mu[port - 1])
+            self._mix[port, 0] = mu
+            self._mix[port, port] = math.sqrt(max(1.0 - mu * mu, 0.0))
         # Lag table, per process: amp [cos(omega s dt); -sin(omega s dt)]
-        # for s = 0.._SUB-1, shape (2K, _SUB).  Computed in double one
-        # process at a time, so no (2mN, K, _SUB) double array is alive.
+        # for s = 0.._SUB-1, shape (2K, _SUB).  Built one process at a
+        # time, so no (2mN, K, _SUB) double array is alive.
         lag = np.arange(_SUB) * self.dt
         self._table = np.empty((n_proc, 2 * k, _SUB), dtype=np.float32)
         for p in range(n_proc):
-            arg = np.multiply.outer(self.omega[p], lag)
+            arg = np.multiply.outer(self.omega[p], lag).astype(np.float32)
             self._table[p, :k] = self.amp * np.cos(arg)
             self._table[p, k:] = -self.amp * np.sin(arg)
 
@@ -148,34 +158,42 @@ class _Oscillators:
             = cos(omega s dt) cos(theta_j) - sin(omega s dt) sin(theta_j),
         so every process's samples come from one batched float32 matmul of
         the coefficients [cos theta_j, sin theta_j] with the lag table.
-        theta_j is reduced mod 2 pi, and its cosine and sine taken, in
-        double before the cast, so the float32 error does not grow with
-        how far into the trace the block sits.
+        theta_j is reduced to [0, 2 pi) in double before the float32 cast,
+        so the float32 error does not grow with how far into the trace the
+        block sits.  Each branch's ports are then one matmul of _mix with
+        its (N, 2 x span) in-phase and quadrature Gaussians.
         """
         n, m = self.n_ports, self.m
-        k = self.omega.shape[1]
         n_sub = -(-count // _SUB)
+        span = n_sub * _SUB
+        # the double phases are freed before the matmul, the coefficients after
+        gauss = np.matmul(self._coefficients(start, n_sub),
+                          self._table).reshape(-1, span)
+        mixed = np.empty((n, 2 * span), dtype=np.float32)
+        e2 = np.zeros((n, span), dtype=np.float32)
+        for b in range(m):
+            # rows 2Nb + 2k + (0, 1) are port k's pair, so row k of this
+            # (N, 2 x span) view is port k's in-phase then quadrature part
+            pairs = gauss[2 * n * b:2 * n * (b + 1)].reshape(n, -1)
+            np.matmul(self._mix, pairs, out=mixed)
+            mixed *= mixed
+            e2 += mixed[:, :span]
+            e2 += mixed[:, span:]
+        return np.sqrt(e2, out=e2)[:, :count]
+
+    def _coefficients(self, start: int, n_sub: int) -> np.ndarray:
+        """[cos theta_j, sin theta_j] per process and sub-block, float32,
+        shape (2mN, n_sub, 2K)."""
+        k = self.omega.shape[1]
         t0 = (start + _SUB * np.arange(n_sub)) * self.dt
         theta = self.omega[:, None, :] * t0[None, :, None]    # (P, n_sub, K)
         theta += self.phase[:, None, :]
-        np.mod(theta, 2.0 * math.pi, out=theta)
+        theta -= 2.0 * math.pi * np.floor(theta / (2.0 * math.pi))
+        theta32 = theta.astype(np.float32)
         coef = np.empty(theta.shape[:2] + (2 * k,), dtype=np.float32)
-        np.cos(theta, out=coef[:, :, :k], casting="same_kind")
-        np.sin(theta, out=coef[:, :, k:], casting="same_kind")
-        gauss = np.matmul(coef, self._table).reshape(len(coef), -1)[:, :count]
-        e2 = np.zeros((n, count), dtype=np.float32)
-        for b in range(m):
-            lead = 2 * self.n_ports * b
-            ref_x = gauss[lead]
-            ref_y = gauss[lead + 1]
-            e2[0] += ref_x * ref_x + ref_y * ref_y
-            for port in range(2, n + 1):
-                mu = np.float32(self.mu[port - 2])
-                root = np.float32(math.sqrt(max(1.0 - float(mu) ** 2, 0.0)))
-                hx = root * gauss[lead + 2 * (port - 1)] + mu * ref_x
-                hy = root * gauss[lead + 2 * (port - 1) + 1] + mu * ref_y
-                e2[port - 1] += hx * hx + hy * hy
-        return np.sqrt(e2)
+        np.cos(theta32, out=coef[:, :, :k])
+        np.sin(theta32, out=coef[:, :, k:])
+        return coef
 
 
 def generate_fading(cfg: SimConfig, trial: int = 0) -> FadingTrace:

@@ -135,12 +135,13 @@ def _oscillators(n_ports, m, seed=5):
 
 
 @pytest.mark.parametrize("start", [0, 2 ** 31 - 3000])
-@pytest.mark.parametrize("n_ports,m", [(1, 1.0), (4, 2.0)])
+@pytest.mark.parametrize("n_ports,m", [(1, 1.0), (2, 1.0), (3, 3.0), (4, 2.0)])
 def test_envelopes_match_double_precision_cosine_sum(n_ports, m, start):
     """The float32 table-and-matmul kernel against a direct float64 sum.
 
     A block deep into the trace checks that the sub-block phases are
-    reduced in double.  Measured max |difference| at or below 2.2e-6.
+    reduced in double; N = 3, m = 3 mixes an odd port count over three
+    branches.  Measured max |difference| at or below 1.5e-6.
     """
     osc = _oscillators(n_ports, int(m))
     count = 5000
@@ -148,7 +149,18 @@ def test_envelopes_match_double_precision_cosine_sum(n_ports, m, start):
     want = oracles.sos_envelopes_f64(osc.omega, osc.phase, osc.amp, osc.mu,
                                      osc.n_ports, osc.m, osc.dt, start, count)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-4
+    assert np.max(np.abs(got - want)) <= 1e-5
+
+
+def test_mixing_matrix_reproduces_the_port_covariance():
+    """_mix @ _mix.T is the model's port covariance: unit variances, mu_k
+    against the reference port, and mu_k mu_l between ports k and l."""
+    osc = _oscillators(4, 2)
+    mu = np.concatenate([[1.0], osc.mu])
+    cov = osc._mix.astype(np.float64) @ osc._mix.T.astype(np.float64)
+    want = np.outer(mu, mu)
+    np.fill_diagonal(want, 1.0)
+    assert np.max(np.abs(cov - want)) <= 1e-6
 
 
 def test_envelopes_block_split_invariant():
@@ -166,10 +178,12 @@ def test_envelopes_block_split_invariant():
 def test_block_synthesis_memory_cap():
     """One full block at N=4, m=2 allocates at most 1.5 MiB.
 
-    Measured 1.31 MiB: the double sub-block phases (256 KiB), their float32
-    coefficients (256 KiB), the matmul output (512 KiB) and the
-    envelope buffers.  The per-sample cosine path it replaced needed
-    2.4 MiB.
+    Measured 0.88 MiB at the peak, while the ports are mixed: the matmul
+    output (512 KiB), one branch's mixed Gaussians (256 KiB) and the
+    squared envelopes (128 KiB).  The double sub-block phases (256 KiB),
+    their float32 copy and the coefficients are freed before the ports are
+    mixed; a variant holding all three to the end measured 1,575,048 bytes,
+    just over the bound.
     """
     osc = _oscillators(4, 2)
     osc.envelopes(0, mcsim._BLOCK)
@@ -180,6 +194,23 @@ def test_block_synthesis_memory_cap():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2 ** 20, peak
+
+
+def test_lag_table_build_memory_cap():
+    """Building the oscillators at N=4, m=2 allocates at most 2.5 MiB.
+
+    The float32 lag table itself is 2 MiB; measured peak 2.35 MiB.  A
+    build vectorized over all processes, which holds (2mN, K, _SUB) double
+    arguments and their cosines besides, measured 6.0 MiB.
+    """
+    _oscillators(4, 2)
+    tracemalloc.start()
+    try:
+        _oscillators(4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
